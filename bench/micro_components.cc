@@ -7,7 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
+#include "cache/tag_array.hh"
 #include "core/correlation_table.hh"
 #include "cpu/core_model.hh"
 #include "prefetch/ghb.hh"
@@ -136,6 +139,137 @@ BM_SimulatedInstruction(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulatedInstruction);
+
+/** Fixed-latency memory stub: isolates the core's own loop. */
+class StubMem : public MemSystem
+{
+  public:
+    MemOutcome
+    fetchInst(Addr, Tick when) override
+    {
+        return {when + 2, false};
+    }
+
+    MemOutcome
+    load(Addr addr, Addr, Tick when) override
+    {
+        const bool miss = (addr >> 6) % 64 == 0;
+        return {when + (miss ? 300 : 3), miss};
+    }
+
+    Tick store(Addr, Tick when) override { return when + 1; }
+    unsigned lineBytes() const override { return 64; }
+};
+
+/** Replays an in-memory record vector as a zero-copy span source. */
+class SpanReplay : public TraceSource
+{
+  public:
+    explicit SpanReplay(std::vector<TraceRecord> recs)
+        : recs_(std::move(recs))
+    {}
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ == recs_.size())
+            return false;
+        rec = recs_[pos_++];
+        return true;
+    }
+
+    bool spanSource() const override { return true; }
+
+    std::size_t
+    peekSpan(const TraceRecord **out, std::size_t max) override
+    {
+        *out = recs_.data() + pos_;
+        return std::min(max, recs_.size() - pos_);
+    }
+
+    void consumeSpan(std::size_t n) override { pos_ += n; }
+    void reset() override { pos_ = 0; }
+    std::size_t size() const { return recs_.size(); }
+
+  private:
+    std::vector<TraceRecord> recs_;
+    std::size_t pos_ = 0;
+};
+
+/** The first @p n records of a calibrated workload. */
+std::vector<TraceRecord>
+recordedStream(const std::string &workload, std::size_t n)
+{
+    auto w = makeWorkload(workload);
+    std::vector<TraceRecord> out(n);
+    w->nextBatch(out.data(), n);
+    return out;
+}
+
+void
+BM_CoreRetireLoop(benchmark::State &state)
+{
+    // The retirement loop alone: CoreModel::run over an in-memory span
+    // of recorded tpcw records against a stub memory system.
+    SpanReplay src(recordedStream("tpcw", 1 << 16));
+    StubMem mem;
+    CoreModel core({}, mem);
+    for (auto _ : state) {
+        src.reset();
+        core.run(src, src.size());
+    }
+    benchmark::DoNotOptimize(core.now());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(src.size()));
+}
+BENCHMARK(BM_CoreRetireLoop);
+
+void
+BM_AluRunEmission(benchmark::State &state)
+{
+    // Trace generation alone, drained the way the core drains it; on
+    // tpcw about 91% of the records come from ALU filler runs.
+    auto w = makeWorkload("tpcw");
+    constexpr std::size_t kDrain = 1 << 16;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        std::size_t left = kDrain;
+        while (left > 0) {
+            const TraceRecord *span = nullptr;
+            const std::size_t got = w->peekSpan(&span, left);
+            sink += span[got - 1].pc;
+            w->consumeSpan(got);
+            left -= got;
+        }
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kDrain));
+}
+BENCHMARK(BM_AluRunEmission);
+
+void
+BM_TagArrayAccessFill(benchmark::State &state)
+{
+    // Lookup, then fill on a miss, over a pool twice the capacity:
+    // range(0) is the set count (128 = 32 KiB L1, 8192 = 2 MiB L2).
+    const unsigned sets = static_cast<unsigned>(state.range(0));
+    TagArray tags(sets, 4, 64);
+    Pcg32 rng(6);
+    std::vector<Addr> addrs(1 << 16);
+    for (Addr &a : addrs)
+        a = static_cast<Addr>(rng.below(sets * 4 * 2)) << 6;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Addr a = addrs[i++ & (addrs.size() - 1)];
+        const bool hit = tags.access(a, false);
+        benchmark::DoNotOptimize(hit);
+        if (!hit)
+            benchmark::DoNotOptimize(tags.insert(a));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TagArrayAccessFill)->Arg(128)->Arg(8192);
 
 } // namespace
 

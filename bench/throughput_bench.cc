@@ -4,12 +4,12 @@
  *
  * Unlike the paper benches (which report *simulated* metrics), this
  * bench measures the simulator itself: simulated instructions per
- * wall-clock second for each Table 1 workload under the null and EBCP
- * prefetchers, alongside the hot-structure counters the hot-path
- * overhaul introduced (FlatMap probe statistics for the MSHR file,
- * correlation table and Solihin table; RecordRing churn for the trace
- * generator) and host cycles/instructions via perf_event_open when the
- * kernel allows it.
+ * wall-clock and per thread-CPU second for each Table 1 workload under
+ * the null and EBCP prefetchers, alongside the hot-structure counters
+ * the hot-path overhaul introduced (FlatMap probe statistics for the
+ * MSHR file, correlation table and Solihin table; RecordRing churn for
+ * the trace generator) and host cycles/instructions via perf_event_open
+ * when the kernel allows it.
  *
  * Runs are strictly serial -- one Simulator at a time on one thread --
  * so the insts/sec numbers are comparable across commits and machines
@@ -22,9 +22,12 @@
  *                          the fastest rep is the least-interfered
  *                          one, and simulated results are identical
  *                          across reps by construction),
- *       min_ips=N         (fail if any run is slower than N simulated
- *                          insts/sec; 0 disables -- the perf-smoke
- *                          ctest floor),
+ *       min_ips=N         (fail if any configuration's best rep is
+ *                          slower than N simulated insts per
+ *                          thread-CPU second; 0 disables -- the
+ *                          perf-smoke ctest floor. CPU time, not
+ *                          wall, so time slicing on a shared host
+ *                          cannot trip it),
  *       max_ckpt_overhead=F (also re-run the grid with the checkpoint
  *                          wall deadline armed and fail if the
  *                          aggregate thread-CPU-time overhead vs the
@@ -79,6 +82,7 @@ struct RunReport
     std::uint64_t insts = 0; //!< simulated instructions (warm + measure)
     double seconds = 0.0;
     double instsPerSec = 0.0;
+    double cpuInstsPerSec = 0.0; //!< per thread-CPU second, best rep
     SimResults results;
     PerfSample host;
 
@@ -165,7 +169,8 @@ jsonRun(std::ostream &os, const RunReport &r)
        << r.pf << "\",\n"
        << "     \"insts\": " << r.insts << ", \"seconds\": "
        << fmtDouble(r.seconds, 4) << ", \"insts_per_sec\": "
-       << fmtDouble(r.instsPerSec, 0) << ",\n"
+       << fmtDouble(r.instsPerSec, 0) << ", \"cpu_insts_per_sec\": "
+       << fmtDouble(r.cpuInstsPerSec, 0) << ",\n"
        << "     \"cpi\": " << fmtDouble(r.results.cpi, 6) << ",\n"
        << "     \"host\": {\"available\": "
        << (r.host.available ? "true" : "false")
@@ -318,6 +323,10 @@ main(int argc, char **argv)
                         cpu_off > 0.0 ? cpu_on / cpu_off : 1.0);
                 }
             }
+            best.cpuInstsPerSec =
+                base_cpu_best > 0.0
+                    ? static_cast<double>(best.insts) / base_cpu_best
+                    : best.instsPerSec;
             armed_sum += base_cpu_best * median(ratios);
             base_cpu_sum += base_cpu_best;
             prof_armed_sum += prof_base_best * median(prof_ratios);
@@ -334,13 +343,14 @@ main(int argc, char **argv)
         }
 
     AsciiTable t("Throughput and hot-structure statistics");
-    t.setHeader({"run", "Minsts/s", "host IPC", "mshr p/f",
-                 "corr p/f", "ring grows"});
-    double worst_ips = reports.empty() ? 0.0 : reports[0].instsPerSec;
+    t.setHeader({"run", "Minsts/s", "Minsts/cpu-s", "host IPC",
+                 "mshr p/f", "corr p/f", "ring grows"});
+    double worst_ips = reports.empty() ? 0.0 : reports[0].cpuInstsPerSec;
     for (const RunReport &r : reports) {
-        worst_ips = std::min(worst_ips, r.instsPerSec);
+        worst_ips = std::min(worst_ips, r.cpuInstsPerSec);
         t.addRow({r.workload + "/" + r.pf,
                   fmtDouble(r.instsPerSec / 1e6, 2),
+                  fmtDouble(r.cpuInstsPerSec / 1e6, 2),
                   r.host.available ? fmtDouble(r.host.ipc(), 2) : "n/a",
                   fmtDouble(r.mshr.probesPerFind(), 3),
                   r.hasCorr ? fmtDouble(r.corr.probesPerFind(), 3)
@@ -353,8 +363,8 @@ main(int argc, char **argv)
         std::cout << "(host perf counters unavailable: "
                   << (h.reason.empty() ? "no reason recorded"
                                        : h.reason)
-                  << "; insts/sec is wall-clock based and "
-                     "unaffected)\n";
+                  << "; insts/sec figures come from clock reads and "
+                     "are unaffected)\n";
         if (h.estimated)
             std::cout << "(host cycles are CPU-time estimates at "
                       << fmtDouble(h.nominalHz / 1e9, 2)
@@ -499,13 +509,13 @@ main(int argc, char **argv)
     }
     if (min_ips > 0.0 && worst_ips < min_ips) {
         std::cerr << "FAIL: slowest run " << fmtDouble(worst_ips / 1e6, 2)
-                  << "M insts/s is below the min_ips floor of "
-                  << fmtDouble(min_ips / 1e6, 2) << "M insts/s\n";
+                  << "M insts/cpu-s is below the min_ips floor of "
+                  << fmtDouble(min_ips / 1e6, 2) << "M insts/cpu-s\n";
         return 1;
     }
     if (min_ips > 0.0)
         std::cout << "min_ips floor " << fmtDouble(min_ips / 1e6, 2)
-                  << "M insts/s: passed (slowest run "
+                  << "M insts/cpu-s: passed (slowest run "
                   << fmtDouble(worst_ips / 1e6, 2) << "M)\n";
     return 0;
 }

@@ -1,5 +1,7 @@
 #include "cache/tag_array.hh"
 
+#include <algorithm>
+
 #include "ckpt/containers.hh"
 #include "verify/audit.hh"
 
@@ -10,23 +12,14 @@ TagArray::TagArray(unsigned sets, unsigned ways, unsigned line_bytes,
                    ReplPolicy repl)
     : sets_(sets), ways_(ways), lineBytes_(line_bytes),
       lineShift_(floorLog2(line_bytes)), repl_(repl),
-      ways_v_(static_cast<std::size_t>(sets) * ways)
+      slots_(static_cast<std::size_t>(sets) * ways),
+      words_(3 * slots_, 0)
 {
     fatal_if(!isPowerOf2(sets), "tag array set count must be power of two");
-    fatal_if(!isPowerOf2(line_bytes),
-             "tag array line size must be power of two");
+    fatal_if(!isPowerOf2(line_bytes) || line_bytes < 2,
+             "tag array line size must be a power of two of at least 2");
     fatal_if(ways == 0, "tag array needs at least one way");
-}
-
-int
-TagArray::findWay(unsigned set, Addr tag) const
-{
-    for (unsigned w = 0; w < ways_; ++w) {
-        const Way &wy = way(set, w);
-        if (wy.valid && wy.tag == tag)
-            return static_cast<int>(w);
-    }
-    return -1;
+    std::fill_n(tags(), slots_, kInvalidTag);
 }
 
 bool
@@ -39,13 +32,13 @@ bool
 TagArray::access(Addr addr, bool write)
 {
     const unsigned set = setIndex(addr);
-    int w = findWay(set, tagOf(addr));
+    const int w = findWay(set, tagOf(addr));
     if (w < 0)
         return false;
-    Way &wy = way(set, static_cast<unsigned>(w));
-    wy.stamp = ++stampCounter_;
+    const std::size_t i = slot(set, static_cast<unsigned>(w));
+    stamps()[i] = ++stampCounter_;
     if (write)
-        wy.dirty = true;
+        dirtyFlags()[i] = 1;
     return true;
 }
 
@@ -53,18 +46,21 @@ unsigned
 TagArray::victimWay(unsigned set)
 {
     // Invalid ways first, regardless of policy.
+    const std::size_t base = slot(set, 0);
     for (unsigned w = 0; w < ways_; ++w)
-        if (!way(set, w).valid)
+        if (tags()[base + w] == kInvalidTag)
             return w;
 
     if (repl_ == ReplPolicy::Random)
         return rng_.below(ways_);
 
+    // The lowest-indexed way holding the oldest stamp.
+    const std::uint64_t *st = stamps() + base;
     unsigned victim = 0;
-    std::uint64_t oldest = way(set, 0).stamp;
+    std::uint64_t oldest = st[0];
     for (unsigned w = 1; w < ways_; ++w) {
-        if (way(set, w).stamp < oldest) {
-            oldest = way(set, w).stamp;
+        if (st[w] < oldest) {
+            oldest = st[w];
             victim = w;
         }
     }
@@ -77,26 +73,24 @@ TagArray::insert(Addr addr, bool dirty)
     const unsigned set = setIndex(addr);
     const Addr tag = tagOf(addr);
 
-    int existing = findWay(set, tag);
+    const int existing = findWay(set, tag);
     if (existing >= 0) {
-        Way &wy = way(set, static_cast<unsigned>(existing));
-        wy.stamp = ++stampCounter_;
-        wy.dirty = wy.dirty || dirty;
+        const std::size_t i = slot(set, static_cast<unsigned>(existing));
+        stamps()[i] = ++stampCounter_;
+        dirtyFlags()[i] |= dirty;
         return {};
     }
 
-    unsigned w = victimWay(set);
-    Way &wy = way(set, w);
+    const std::size_t i = slot(set, victimWay(set));
     Eviction ev;
-    if (wy.valid) {
+    if (tags()[i] != kInvalidTag) {
         ev.valid = true;
-        ev.dirty = wy.dirty;
-        ev.lineAddr = (wy.tag << lineShift_);
+        ev.dirty = dirtyFlags()[i] != 0;
+        ev.lineAddr = tags()[i] << lineShift_;
     }
-    wy.tag = tag;
-    wy.valid = true;
-    wy.dirty = dirty;
-    wy.stamp = ++stampCounter_;
+    tags()[i] = tag;
+    dirtyFlags()[i] = dirty;
+    stamps()[i] = ++stampCounter_;
     return ev;
 }
 
@@ -104,29 +98,31 @@ bool
 TagArray::invalidate(Addr addr)
 {
     const unsigned set = setIndex(addr);
-    int w = findWay(set, tagOf(addr));
+    const int w = findWay(set, tagOf(addr));
     if (w < 0)
         return false;
-    way(set, static_cast<unsigned>(w)).valid = false;
+    // An empty way always reads tag 0 / clean / stamp 0 in checkpoints.
+    const std::size_t i = slot(set, static_cast<unsigned>(w));
+    tags()[i] = kInvalidTag;
+    dirtyFlags()[i] = 0;
+    stamps()[i] = 0;
     return true;
 }
 
 void
 TagArray::reset()
 {
-    for (auto &w : ways_v_)
-        w = Way{};
+    std::fill(words_.begin(), words_.end(), 0);
+    std::fill_n(tags(), slots_, kInvalidTag);
     stampCounter_ = 0;
 }
 
 std::size_t
 TagArray::validCount() const
 {
-    std::size_t n = 0;
-    for (const auto &w : ways_v_)
-        if (w.valid)
-            ++n;
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(tags(), tags() + slots_,
+                      [](Addr t) { return t != kInvalidTag; }));
 }
 
 void
@@ -134,17 +130,16 @@ TagArray::audit(AuditContext &ctx) const
 {
     for (unsigned s = 0; s < sets_; ++s) {
         for (unsigned w = 0; w < ways_; ++w) {
-            const Way &wy = way(s, w);
-            if (!wy.valid)
+            const std::size_t i = slot(s, w);
+            if (tags()[i] == kInvalidTag)
                 continue;
-            ctx.check(wy.stamp <= stampCounter_, "stamp_not_from_future",
-                      "set ", s, " way ", w, " stamp ", wy.stamp,
+            ctx.check(stamps()[i] <= stampCounter_, "stamp_not_from_future",
+                      "set ", s, " way ", w, " stamp ", stamps()[i],
                       " exceeds counter ", stampCounter_);
             for (unsigned w2 = w + 1; w2 < ways_; ++w2) {
-                const Way &o = way(s, w2);
-                ctx.check(!(o.valid && o.tag == wy.tag),
+                ctx.check(tags()[slot(s, w2)] != tags()[i],
                           "no_duplicate_tags_in_set",
-                          "set ", s, " holds tag 0x", std::hex, wy.tag,
+                          "set ", s, " holds tag 0x", std::hex, tags()[i],
                           std::dec, " in ways ", w, " and ", w2);
             }
         }
@@ -157,25 +152,44 @@ TagArray::corruptForTest()
     fatal_if(ways_ < 2, "corruptForTest needs an associative array");
     // Clone (or fabricate) a duplicate tag within set 0, which lookup
     // can then resolve to either way: trips no_duplicate_tags_in_set.
-    Way &a = way(0, 0);
-    Way &b = way(0, 1);
-    if (!a.valid) {
-        a.tag = 0x1234;
-        a.valid = true;
-        a.stamp = stampCounter_;
+    Addr *t = tags();
+    std::uint64_t *st = stamps();
+    if (t[0] == kInvalidTag) {
+        t[0] = 0x1234;
+        st[0] = stampCounter_;
     }
-    b = a;
+    t[1] = t[0];
+    dirtyFlags()[1] = dirtyFlags()[0];
+    st[1] = st[0];
 }
 
 void
 TagArray::ckpt(ckpt::Archiver &ar)
 {
-    ar.fixedVec(ways_v_, [](ckpt::Archiver &a, Way &w) {
-        a.u64(w.tag);
-        a.boolean(w.valid);
-        a.boolean(w.dirty);
-        a.u64(w.stamp);
-    }, "tag array ways");
+    // Way by way as {u64 tag, bool valid, bool dirty, u64 stamp}; an
+    // empty way travels as tag 0.
+    std::uint64_t n = slots_;
+    ar.u64(n);
+    if (!ar.saving() && ar.ok() && n != slots_)
+        ar.fail(invalidArgError("checkpoint tag array ways holds ", n,
+                                " elements but the configured size is ",
+                                slots_));
+    for (std::size_t i = 0; i < slots_ && ar.ok(); ++i) {
+        bool valid = tags()[i] != kInvalidTag;
+        Addr tag = valid ? tags()[i] : 0;
+        bool dirty = dirtyFlags()[i] != 0;
+        ar.u64(tag);
+        ar.boolean(valid);
+        ar.boolean(dirty);
+        ar.u64(stamps()[i]);
+        if (ar.saving() || !ar.ok())
+            continue;
+        if (valid && tag == kInvalidTag)
+            ar.fail(corruptionError("checkpoint tag array way ", i,
+                                    " holds the empty-way tag"));
+        tags()[i] = valid ? tag : kInvalidTag;
+        dirtyFlags()[i] = dirty;
+    }
     ar.u64(stampCounter_);
     ckpt::ckptPcg32(ar, rng_);
 }

@@ -37,7 +37,12 @@ struct Eviction
     Addr lineAddr = InvalidAddr; //!< line address of the victim
 };
 
-/** A set-associative array of address tags plus LRU/dirty metadata. */
+/**
+ * A set-associative array of address tags plus LRU/dirty metadata,
+ * stored as parallel arrays indexed set * ways + way: a lookup scans
+ * one set's contiguous tags and touches nothing else. An empty way
+ * holds kInvalidTag, which no line maps to, so no valid bit is needed.
+ */
 class TagArray
 {
   public:
@@ -92,10 +97,9 @@ class TagArray
     void
     forEachValidLine(Fn &&fn) const
     {
-        for (unsigned s = 0; s < sets_; ++s)
-            for (unsigned w = 0; w < ways_; ++w)
-                if (way(s, w).valid)
-                    fn(way(s, w).tag << lineShift_);
+        for (std::size_t i = 0; i < slots_; ++i)
+            if (tags()[i] != kInvalidTag)
+                fn(tags()[i] << lineShift_);
     }
 
     /** Re-derive structural invariants: within each set no two valid
@@ -109,26 +113,43 @@ class TagArray
     void ckpt(ckpt::Archiver &ar);
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t stamp = 0; //!< LRU recency stamp
-    };
+    /** Tag of an empty way. Lines are at least two bytes, so a real
+     * tag drops at least one address bit and never reaches it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
-    /** @return way index of @p addr within its set, or -1. */
-    int findWay(unsigned set, Addr tag) const;
+    /** @return way index of @p tag within @p set, or -1. */
+    int
+    findWay(unsigned set, Addr tag) const
+    {
+        const Addr *t = tags() + slot(set, 0);
+        for (unsigned w = 0; w < ways_; ++w)
+            if (t[w] == tag)
+                return static_cast<int>(w);
+        return -1;
+    }
 
     /** Choose the victim way in @p set per the replacement policy. */
     unsigned victimWay(unsigned set);
 
     Addr tagOf(Addr addr) const { return addr >> lineShift_; }
-    Way &way(unsigned set, unsigned w) { return ways_v_[set * ways_ + w]; }
-    const Way &
-    way(unsigned set, unsigned w) const
+
+    std::size_t
+    slot(unsigned set, unsigned w) const
     {
-        return ways_v_[set * ways_ + w];
+        return std::size_t{set} * ways_ + w;
+    }
+
+    // Tags (kInvalidTag when empty), LRU stamps and dirty flags, one
+    // word per way each.
+    Addr *tags() { return words_.data(); }
+    const Addr *tags() const { return words_.data(); }
+    std::uint64_t *stamps() { return words_.data() + slots_; }
+    const std::uint64_t *stamps() const { return words_.data() + slots_; }
+    std::uint64_t *dirtyFlags() { return words_.data() + 2 * slots_; }
+    const std::uint64_t *
+    dirtyFlags() const
+    {
+        return words_.data() + 2 * slots_;
     }
 
     unsigned sets_;
@@ -136,7 +157,14 @@ class TagArray
     unsigned lineBytes_;
     unsigned lineShift_;
     ReplPolicy repl_;
-    std::vector<Way> ways_v_;
+    std::size_t slots_; //!< sets * ways
+    // The three arrays share one allocation, and a flag takes a whole
+    // word, so a 2 MiB L2 keeps a single 768 KiB block. glibc derives
+    // its heap trim threshold from the largest block freed; with byte
+    // flags or separate arrays the threshold drops low enough that
+    // every Simulator teardown hands the pages back and the next
+    // set-up faults them in again (about 230 faults per set-up).
+    std::vector<std::uint64_t> words_;
     std::uint64_t stampCounter_ = 0;
     Pcg32 rng_{12345};
 };

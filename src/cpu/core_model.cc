@@ -19,14 +19,7 @@ CoreModel::CoreModel(const CoreConfig &cfg, MemSystem &mem)
       iqIssue_(cfg.issueQueueEntries, 0),
       sbDrain_(cfg.storeBufferEntries, 0),
       lbComplete_(cfg.loadBufferEntries, 0),
-      fetchLim_(cfg.fetchWidth),
-      dispatchLim_(cfg.decodeWidth),
-      retireLim_(cfg.retireWidth),
-      aluLim_(cfg.numAlus),
-      lsuLim_(cfg.numLoadStoreUnits),
-      brLim_(cfg.numBranchUnits),
-      fpAddLim_(cfg.numFpAddUnits),
-      fpMulLim_(cfg.numFpMulUnits),
+      s_(cfg),
       stats_("core")
 {
     stats_.add(loads_);
@@ -38,8 +31,11 @@ CoreModel::CoreModel(const CoreConfig &cfg, MemSystem &mem)
     stats_.addChild(bp_.stats());
 }
 
-InstTiming
-CoreModel::process(const TraceRecord &rec)
+// Forced inline: both callers must get their own copy, so that in
+// runBounded() the span-local Sched never has its address taken and
+// stays in registers.
+__attribute__((always_inline)) inline InstTiming
+CoreModel::step(Sched &s, const TraceRecord &rec, Sched *sync)
 {
     InstTiming t;
 
@@ -49,33 +45,35 @@ CoreModel::process(const TraceRecord &rec)
     // termination condition).
     // ------------------------------------------------------------------
     const Addr line = alignDown(rec.pc, lineBytes_);
-    if (line != fetchLine_) {
-        MemOutcome o = mem_.fetchInst(rec.pc, std::max(fetchResume_,
-                                                       fetchLineReady_));
-        fetchLine_ = line;
-        fetchLineReady_ = o.complete;
+    if (line != s.fetchLine) {
+        if (sync)
+            *sync = s;
+        MemOutcome o = mem_.fetchInst(rec.pc, std::max(s.fetchResume,
+                                                       s.fetchLineReady));
+        s.fetchLine = line;
+        s.fetchLineReady = o.complete;
         if (o.offChip)
             ++offChipFetches_;
     }
-    t.fetch = fetchLim_.next(std::max(fetchResume_, fetchLineReady_));
+    t.fetch = s.fetchLim.next(std::max(s.fetchResume, s.fetchLineReady));
 
     // ------------------------------------------------------------------
     // Dispatch: bounded by ROB, issue queue, load/store buffers and a
     // pending serialization barrier.
     // ------------------------------------------------------------------
-    Tick d = std::max(t.fetch, serializeBarrier_);
-    d = std::max(d, robRetire_[robIdx_]);
-    d = std::max(d, iqIssue_[iqIdx_]);
+    Tick d = std::max(t.fetch, s.serializeBarrier);
+    d = std::max(d, robRetire_[s.robIdx]);
+    d = std::max(d, iqIssue_[s.iqIdx]);
     if (rec.op == OpClass::Store)
-        d = std::max(d, sbDrain_[sbIdx_]);
+        d = std::max(d, sbDrain_[s.sbIdx]);
     if (rec.op == OpClass::Load)
-        d = std::max(d, lbComplete_[lbIdx_]);
+        d = std::max(d, lbComplete_[s.lbIdx]);
     if (rec.op == OpClass::Serialize) {
         // Serializers wait for the whole window to drain.
-        d = std::max(d, lastRetire_);
+        d = std::max(d, s.lastRetire);
         ++serializers_;
     }
-    t.dispatch = dispatchLim_.next(d);
+    t.dispatch = s.dispatchLim.next(d);
 
     // ------------------------------------------------------------------
     // Issue + execute.
@@ -91,29 +89,31 @@ CoreModel::process(const TraceRecord &rec)
 
     switch (rec.op) {
       case OpClass::Load: {
-        t.issue = lsuLim_.next(ready);
+        t.issue = s.lsuLim.next(ready);
+        if (sync)
+            *sync = s;
         MemOutcome o = mem_.load(rec.addr, rec.pc, t.issue);
         t.complete = o.complete;
         t.offChip = o.offChip;
         ++loads_;
         if (o.offChip)
             ++offChipLoads_;
-        lbComplete_[lbIdx_] = t.complete;
-        lbIdx_ = bump(lbIdx_, lbComplete_.size());
-        ++loadSeq_;
+        lbComplete_[s.lbIdx] = t.complete;
+        s.lbIdx = bump(s.lbIdx, lbComplete_.size());
+        ++s.loadSeq;
         break;
       }
       case OpClass::Store:
         // Address generation only; the store drains post-retire under
         // weak consistency.
-        t.issue = lsuLim_.next(ready);
+        t.issue = s.lsuLim.next(ready);
         t.complete = t.issue + 1;
         ++stores_;
         break;
       case OpClass::Branch:
       case OpClass::Call:
       case OpClass::Return: {
-        t.issue = brLim_.next(ready);
+        t.issue = s.brLim.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         ++branches_;
         const bool correct =
@@ -121,21 +121,21 @@ CoreModel::process(const TraceRecord &rec)
         if (!correct) {
             // Fetch restarts after the branch resolves; a branch fed
             // by an off-chip load thus terminates the window.
-            fetchResume_ = std::max(fetchResume_,
-                                    t.complete + cfg_.mispredictPenalty);
+            s.fetchResume = std::max(s.fetchResume,
+                                     t.complete + cfg_.mispredictPenalty);
         }
         break;
       }
       case OpClass::FpAdd:
-        t.issue = fpAddLim_.next(ready);
+        t.issue = s.fpAddLim.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::FpMul:
-        t.issue = fpMulLim_.next(ready);
+        t.issue = s.fpMulLim.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::IntAlu:
-        t.issue = aluLim_.next(ready);
+        t.issue = s.aluLim.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::Serialize:
@@ -151,25 +151,33 @@ CoreModel::process(const TraceRecord &rec)
     // ------------------------------------------------------------------
     // Retire: in order, bounded by retire width.
     // ------------------------------------------------------------------
-    t.retire = retireLim_.next(std::max(t.complete, lastRetire_));
-    lastRetire_ = t.retire;
+    t.retire = s.retireLim.next(std::max(t.complete, s.lastRetire));
+    s.lastRetire = t.retire;
 
-    robRetire_[robIdx_] = t.retire;
-    iqIssue_[iqIdx_] = t.issue;
-    robIdx_ = bump(robIdx_, robRetire_.size());
-    iqIdx_ = bump(iqIdx_, iqIssue_.size());
-    ++seq_;
+    robRetire_[s.robIdx] = t.retire;
+    iqIssue_[s.iqIdx] = t.issue;
+    s.robIdx = bump(s.robIdx, robRetire_.size());
+    s.iqIdx = bump(s.iqIdx, iqIssue_.size());
+    ++s.seq;
 
     if (rec.op == OpClass::Store) {
-        sbDrain_[sbIdx_] = mem_.store(rec.addr, t.retire);
-        sbIdx_ = bump(sbIdx_, sbDrain_.size());
-        ++storeSeq_;
+        if (sync)
+            *sync = s;
+        sbDrain_[s.sbIdx] = mem_.store(rec.addr, t.retire);
+        s.sbIdx = bump(s.sbIdx, sbDrain_.size());
+        ++s.storeSeq;
     }
     if (rec.op == OpClass::Serialize)
-        serializeBarrier_ = t.retire;
+        s.serializeBarrier = t.retire;
 
-    ++insts_;
+    ++s.insts;
     return t;
+}
+
+InstTiming
+CoreModel::process(const TraceRecord &rec)
+{
+    return step(s_, rec, nullptr);
 }
 
 void
@@ -190,9 +198,9 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
     while (remaining > 0) {
         const std::uint64_t chunk =
             std::min(kDeadlineChunk, remaining);
-        const std::uint64_t before = insts_;
+        const std::uint64_t before = s_.insts;
         runBounded(src, chunk);
-        const std::uint64_t done = insts_ - before;
+        const std::uint64_t done = s_.insts - before;
         remaining -= std::min(done, remaining);
         if (watchdogTripped_ || done < chunk)
             return; // tripped, or the source ran dry
@@ -212,17 +220,23 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
 void
 CoreModel::runBounded(TraceSource &src, std::uint64_t count)
 {
-    // Records arrive through the decode-ahead pipe: trace decode runs
-    // ahead of the retirement loop (a producer thread on multi-core
-    // hosts, an inline chunk refill otherwise) and the loop reads the
-    // chunk memory directly -- no per-record copy. The pipe never
-    // over-pulls: over its lifetime it requests exactly `count`
-    // records, so the source is left positioned as if records had
-    // been pulled one at a time (except after a watchdog trip, where
-    // the run is abandoned).
+    // Records arrive through the decode-ahead pipe without a per-record
+    // copy. Span sources -- every synthetic workload -- lend their own
+    // record ring in place; other sources (trace files) decode into
+    // chunks, on a producer thread for long runs on multi-core hosts
+    // and inline otherwise. The pipe never over-pulls: over its
+    // lifetime it requests exactly `count` records, so the source is
+    // left positioned as if records had been pulled one at a time
+    // (except after a watchdog trip, where the run is abandoned).
     DecodeAhead pipe(src, count);
-    Tick prev_retire = lastRetire_;
+    Tick prev_retire = s_.lastRetire;
+    const Tick watchdog = watchdogLimit_;
     std::uint64_t remaining = count;
+    // With an auditor attached, the span-local state is written back
+    // before each memory-system call (inside step()) and each retire
+    // hook, so every audit sees current state; otherwise only at span
+    // end and on a trip. Audit-disabled builds fold this to nullptr.
+    Sched *const sync = EBCP_AUDIT_ENABLED && auditor_ ? &s_ : nullptr;
     // One clock read per run() call (and one more on a trip), never
     // per instruction: the wall-clock context in watchdog dumps must
     // not slow the retirement loop.
@@ -232,17 +246,18 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
         const std::size_t got = pipe.acquire(
             &batch, static_cast<std::size_t>(std::min<std::uint64_t>(
                         remaining, ~std::size_t{0})));
+        Sched s = s_;
         for (std::size_t i = 0; i < got; ++i) {
 #if EBCP_AUDIT_ENABLED
             // Screen the raw record before it shapes any timing: a
             // malformed one is evidence of corruption upstream of the
             // core, surfaced by audit() rather than a crash here.
-            if (auditor_ && recordAuditError(batch[i]))
+            if (sync && recordAuditError(batch[i]))
                 ++malformedRecords_;
 #endif
-            const InstTiming t = process(batch[i]);
-            if (watchdogLimit_ &&
-                t.retire > prev_retire + watchdogLimit_) {
+            const InstTiming t = step(s, batch[i], sync);
+            if (watchdog && t.retire > prev_retire + watchdog) {
+                s_ = s;
                 watchdogTripped_ = true;
                 watchdogGap_ = t.retire - prev_retire;
                 watchdogWallSeconds_ =
@@ -252,14 +267,19 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
                 return;
             }
             prev_retire = t.retire;
-            EBCP_AUDIT_RETIRE(auditor_, t.retire);
 #if EBCP_AUDIT_ENABLED
-            // Under the abort policy a failed pass ends the run here;
-            // the driver turns the auditor's state into a Status.
-            if (auditor_ && auditor_->abortRequested())
-                return;
+            if (sync) {
+                s_ = s;
+                auditor_->onRetire(t.retire);
+                // Under the abort policy a failed pass ends the run
+                // here; the simulator turns the auditor's state into a
+                // Status.
+                if (auditor_->abortRequested())
+                    return;
+            }
 #endif
         }
+        s_ = s;
         pipe.consume(got);
         remaining -= got;
         if (got == 0)
@@ -271,7 +291,7 @@ unsigned
 CoreModel::robOccupancyAfter(Tick t) const
 {
     const std::uint64_t valid =
-        std::min<std::uint64_t>(seq_, cfg_.robEntries);
+        std::min<std::uint64_t>(s_.seq, cfg_.robEntries);
     unsigned busy = 0;
     for (std::uint64_t i = 0; i < valid; ++i)
         if (robRetire_[i] > t)
@@ -286,10 +306,11 @@ CoreModel::audit(AuditContext &ctx) const
     // instructions; retirement is in order, so walking it oldest to
     // newest must never go backwards, and the newest entry is the last
     // retirement -- which nothing still tracked may outlive.
+    const Sched &s = s_;
     const std::size_t size = robRetire_.size();
-    const std::uint64_t valid = std::min<std::uint64_t>(seq_, size);
+    const std::uint64_t valid = std::min<std::uint64_t>(s.seq, size);
     if (valid > 0) {
-        const std::size_t oldest = seq_ >= size ? robIdx_ : 0;
+        const std::size_t oldest = s.seq >= size ? s.robIdx : 0;
         bool ordered = true;
         Tick prev = 0;
         for (std::uint64_t k = 0; k < valid; ++k) {
@@ -303,29 +324,31 @@ CoreModel::audit(AuditContext &ctx) const
         ctx.check(ordered, "rob_age_ordered",
                   "ROB retire times decrease oldest to newest");
         const Tick newest = robRetire_[(oldest + valid - 1) % size];
-        ctx.check(newest == lastRetire_, "rob_newest_is_last_retire",
+        ctx.check(newest == s.lastRetire, "rob_newest_is_last_retire",
                   "newest ROB entry retires at ", newest,
-                  " but the last retirement was ", lastRetire_);
-        ctx.check(robOccupancyAfter(lastRetire_) == 0,
+                  " but the last retirement was ", s.lastRetire);
+        ctx.check(robOccupancyAfter(s.lastRetire) == 0,
                   "no_inst_outlives_last_retire",
-                  robOccupancyAfter(lastRetire_),
+                  robOccupancyAfter(s.lastRetire),
                   " ROB entries retire after the last retirement");
     }
 
     // Ring cursors are sequence counters folded by the ring size; a
     // divergence means an entry was skipped or double-counted.
-    ctx.check(robIdx_ == seq_ % robRetire_.size(), "rob_cursor_consistent",
-              "ROB cursor ", robIdx_, " vs seq ", seq_);
-    ctx.check(iqIdx_ == seq_ % iqIssue_.size(), "iq_cursor_consistent",
-              "IQ cursor ", iqIdx_, " vs seq ", seq_);
-    ctx.check(sbIdx_ == storeSeq_ % sbDrain_.size(), "sb_cursor_consistent",
-              "store-buffer cursor ", sbIdx_, " vs store seq ", storeSeq_);
-    ctx.check(lbIdx_ == loadSeq_ % lbComplete_.size(), "lb_cursor_consistent",
-              "load-buffer cursor ", lbIdx_, " vs load seq ", loadSeq_);
-    ctx.check(seq_ == insts_, "dispatch_matches_inst_count",
-              seq_, " dispatches vs ", insts_, " instructions");
-    ctx.check(storeSeq_ + loadSeq_ <= seq_, "mem_ops_within_dispatches",
-              storeSeq_ + loadSeq_, " memory ops vs ", seq_, " dispatches");
+    ctx.check(s.robIdx == s.seq % robRetire_.size(), "rob_cursor_consistent",
+              "ROB cursor ", s.robIdx, " vs seq ", s.seq);
+    ctx.check(s.iqIdx == s.seq % iqIssue_.size(), "iq_cursor_consistent",
+              "IQ cursor ", s.iqIdx, " vs seq ", s.seq);
+    ctx.check(s.sbIdx == s.storeSeq % sbDrain_.size(), "sb_cursor_consistent",
+              "store-buffer cursor ", s.sbIdx, " vs store seq ", s.storeSeq);
+    ctx.check(s.lbIdx == s.loadSeq % lbComplete_.size(),
+              "lb_cursor_consistent", "load-buffer cursor ", s.lbIdx,
+              " vs load seq ", s.loadSeq);
+    ctx.check(s.seq == s.insts, "dispatch_matches_inst_count",
+              s.seq, " dispatches vs ", s.insts, " instructions");
+    ctx.check(s.storeSeq + s.loadSeq <= s.seq, "mem_ops_within_dispatches",
+              s.storeSeq + s.loadSeq, " memory ops vs ", s.seq,
+              " dispatches");
 
     ctx.check(malformedRecords_ == 0, "trace_records_well_formed",
               malformedRecords_, " malformed trace records screened");
@@ -334,34 +357,34 @@ CoreModel::audit(AuditContext &ctx) const
 void
 CoreModel::corruptForTest()
 {
-    if (seq_ == 0) {
+    if (s_.seq == 0) {
         // Fabricate a lone instruction whose retirement is in the
-        // future relative to lastRetire_.
-        robRetire_[0] = lastRetire_ + 1000;
-        iqIssue_[0] = lastRetire_ + 1000;
-        seq_ = 1;
-        insts_ = 1;
-        robIdx_ = bump(robIdx_, robRetire_.size());
-        iqIdx_ = bump(iqIdx_, iqIssue_.size());
+        // future relative to the last retirement.
+        robRetire_[0] = s_.lastRetire + 1000;
+        iqIssue_[0] = s_.lastRetire + 1000;
+        s_.seq = 1;
+        s_.insts = 1;
+        s_.robIdx = bump(s_.robIdx, robRetire_.size());
+        s_.iqIdx = bump(s_.iqIdx, iqIssue_.size());
     } else {
         // Push the newest live entry far past the last retirement:
-        // breaks the newest==lastRetire_ tie and leaves an entry that
+        // breaks the newest==lastRetire tie and leaves an entry that
         // outlives every near-term retirement. The newest slot is the
         // last to be overwritten by subsequent dispatches, so the
         // damage also survives long enough for a cadenced mid-run
         // audit to observe it (the oldest slot, being the insertion
         // cursor, would be erased by the very next instruction).
         const std::size_t size = robRetire_.size();
-        const std::size_t newest = (robIdx_ + size - 1) % size;
-        robRetire_[newest] = lastRetire_ + 10'000'000;
+        const std::size_t newest = (s_.robIdx + size - 1) % size;
+        robRetire_[newest] = s_.lastRetire + 10'000'000;
     }
 }
 
 void
 CoreModel::beginMeasurement()
 {
-    instMark_ = insts_;
-    tickMark_ = lastRetire_;
+    instMark_ = s_.insts;
+    tickMark_ = s_.lastRetire;
     stats_.resetAll();
 }
 
@@ -375,16 +398,16 @@ CoreModel::ckpt(ckpt::Archiver &ar)
     ar.fixedVecU64(iqIssue_, "issue queue ring");
     ar.fixedVecU64(sbDrain_, "store buffer ring");
     ar.fixedVecU64(lbComplete_, "load buffer ring");
-    ar.cursor(robIdx_, robRetire_.size(), "ROB");
-    ar.cursor(iqIdx_, iqIssue_.size(), "issue queue");
-    ar.cursor(sbIdx_, sbDrain_.size(), "store buffer");
-    ar.cursor(lbIdx_, lbComplete_.size(), "load buffer");
-    ar.u64(seq_);
-    ar.u64(storeSeq_);
-    ar.u64(loadSeq_);
+    ar.cursor(s_.robIdx, robRetire_.size(), "ROB");
+    ar.cursor(s_.iqIdx, iqIssue_.size(), "issue queue");
+    ar.cursor(s_.sbIdx, sbDrain_.size(), "store buffer");
+    ar.cursor(s_.lbIdx, lbComplete_.size(), "load buffer");
+    ar.u64(s_.seq);
+    ar.u64(s_.storeSeq);
+    ar.u64(s_.loadSeq);
     for (WidthLimiter *lim :
-         {&fetchLim_, &dispatchLim_, &retireLim_, &aluLim_, &lsuLim_,
-          &brLim_, &fpAddLim_, &fpMulLim_}) {
+         {&s_.fetchLim, &s_.dispatchLim, &s_.retireLim, &s_.aluLim,
+          &s_.lsuLim, &s_.brLim, &s_.fpAddLim, &s_.fpMulLim}) {
         Tick cur = lim->cur();
         unsigned used = lim->used();
         ar.u64(cur);
@@ -392,12 +415,12 @@ CoreModel::ckpt(ckpt::Archiver &ar)
         if (!ar.saving() && ar.ok())
             lim->setState(cur, used);
     }
-    ar.u64(fetchLine_);
-    ar.u64(fetchLineReady_);
-    ar.u64(fetchResume_);
-    ar.u64(lastRetire_);
-    ar.u64(serializeBarrier_);
-    ar.u64(insts_);
+    ar.u64(s_.fetchLine);
+    ar.u64(s_.fetchLineReady);
+    ar.u64(s_.fetchResume);
+    ar.u64(s_.lastRetire);
+    ar.u64(s_.serializeBarrier);
+    ar.u64(s_.insts);
     ar.u64(instMark_);
     ar.u64(tickMark_);
     ar.u64(malformedRecords_);

@@ -78,13 +78,13 @@ class CoreModel
     void beginMeasurement();
 
     /** Instructions processed since beginMeasurement(). */
-    std::uint64_t measuredInsts() const { return insts_ - instMark_; }
+    std::uint64_t measuredInsts() const { return s_.insts - instMark_; }
 
     /** Cycles elapsed since beginMeasurement(). */
     Tick
     measuredCycles() const
     {
-        return lastRetire_ > tickMark_ ? lastRetire_ - tickMark_ : 0;
+        return s_.lastRetire > tickMark_ ? s_.lastRetire - tickMark_ : 0;
     }
 
     /** Overall CPI of the measurement window. */
@@ -96,8 +96,8 @@ class CoreModel
                    : 0.0;
     }
 
-    Tick now() const { return lastRetire_; }
-    std::uint64_t instCount() const { return insts_; }
+    Tick now() const { return s_.lastRetire; }
+    std::uint64_t instCount() const { return s_.insts; }
 
     /**
      * Arm the forward-progress watchdog: run() stops (and
@@ -188,6 +188,59 @@ class CoreModel
         return ++i == size ? 0 : i;
     }
 
+    /**
+     * The scheduling state every instruction reads and writes, as one
+     * value. runBounded() copies it into a local for each span so it
+     * lives in registers: held through `this`, every store to a ring
+     * slot, register ready time or stat counter (all 64-bit words that
+     * may alias it) forced it to be reloaded.
+     */
+    struct Sched
+    {
+        explicit Sched(const CoreConfig &cfg)
+            : fetchLim(cfg.fetchWidth), dispatchLim(cfg.decodeWidth),
+              retireLim(cfg.retireWidth), aluLim(cfg.numAlus),
+              lsuLim(cfg.numLoadStoreUnits), brLim(cfg.numBranchUnits),
+              fpAddLim(cfg.numFpAddUnits), fpMulLim(cfg.numFpMulUnits)
+        {}
+
+        WidthLimiter fetchLim;
+        WidthLimiter dispatchLim;
+        WidthLimiter retireLim;
+        WidthLimiter aluLim;
+        WidthLimiter lsuLim;
+        WidthLimiter brLim;
+        WidthLimiter fpAddLim;
+        WidthLimiter fpMulLim;
+
+        // Fetch state.
+        Addr fetchLine = InvalidAddr;
+        Tick fetchLineReady = 0;
+        Tick fetchResume = 0; //!< earliest fetch after redirects/stalls
+
+        Tick lastRetire = 0;
+        Tick serializeBarrier = 0; //!< dispatch floor after a serializer
+
+        // Ring cursors: seq % size without the per-instruction division.
+        std::size_t robIdx = 0;
+        std::size_t iqIdx = 0;
+        std::size_t sbIdx = 0;
+        std::size_t lbIdx = 0;
+        std::uint64_t seq = 0;      //!< dispatched instruction count
+        std::uint64_t storeSeq = 0; //!< dispatched store count
+        std::uint64_t loadSeq = 0;  //!< dispatched load count
+        std::uint64_t insts = 0;
+    };
+
+    /**
+     * Time one instruction against @p s: the member state for
+     * process(), a span-local copy for runBounded(). A non-null
+     * @p sync receives @p s before every call into the memory system,
+     * so audits fired from inside it see exactly the state they would
+     * see with no copy in between.
+     */
+    inline InstTiming step(Sched &s, const TraceRecord &rec, Sched *sync);
+
     CoreConfig cfg_;
     MemSystem &mem_;
     Addr lineBytes_; //!< cached mem_.lineBytes() (virtual call)
@@ -197,38 +250,14 @@ class CoreModel
     std::array<Tick, NumArchRegs> regReady_{};
 
     // Window resources, as rings of the tick at which entry (i - size)
-    // frees. The *Idx_ cursors track seq % size without the per-
-    // instruction division.
+    // frees, indexed by the Sched cursors.
     std::vector<Tick> robRetire_;
     std::vector<Tick> iqIssue_;
     std::vector<Tick> sbDrain_;
     std::vector<Tick> lbComplete_;
-    std::size_t robIdx_ = 0;
-    std::size_t iqIdx_ = 0;
-    std::size_t sbIdx_ = 0;
-    std::size_t lbIdx_ = 0;
-    std::uint64_t seq_ = 0;      //!< dispatched instruction count
-    std::uint64_t storeSeq_ = 0; //!< dispatched store count
-    std::uint64_t loadSeq_ = 0;  //!< dispatched load count
 
-    WidthLimiter fetchLim_;
-    WidthLimiter dispatchLim_;
-    WidthLimiter retireLim_;
-    WidthLimiter aluLim_;
-    WidthLimiter lsuLim_;
-    WidthLimiter brLim_;
-    WidthLimiter fpAddLim_;
-    WidthLimiter fpMulLim_;
+    Sched s_;
 
-    // Fetch state.
-    Addr fetchLine_ = InvalidAddr;
-    Tick fetchLineReady_ = 0;
-    Tick fetchResume_ = 0; //!< earliest fetch after redirects/stalls
-
-    Tick lastRetire_ = 0;
-    Tick serializeBarrier_ = 0; //!< dispatch floor after a serializer
-
-    std::uint64_t insts_ = 0;
     std::uint64_t instMark_ = 0;
     Tick tickMark_ = 0;
 

@@ -71,6 +71,52 @@ class RecordRing
         return slot;
     }
 
+    /** Free slots past the newest element, from reserveBack(). */
+    class Reservation
+    {
+      public:
+        /** The @p k-th slot after the newest element (stale value). */
+        T &
+        operator[](std::size_t k) const
+        {
+            return base_[(at_ + k) & mask_];
+        }
+
+      private:
+        friend class RecordRing;
+        Reservation(T *base, std::size_t at, std::size_t mask)
+            : base_(base), at_(at), mask_(mask)
+        {}
+
+        T *base_;
+        std::size_t at_;
+        std::size_t mask_;
+    };
+
+    /**
+     * Bulk append, first half: make room for @p n more elements,
+     * growing as that many pushSlot() calls would, and return the free
+     * slots. Fill slots 0..k-1 in order, then commit(k) with k <= n;
+     * no other ring call may come in between.
+     */
+    Reservation
+    reserveBack(std::size_t n)
+    {
+        while (slots_.size() - size_ < n)
+            grow();
+        return Reservation(slots_.data(), head_ + size_, mask_);
+    }
+
+    /** Bulk append, second half: publish the first @p n reserved
+     * slots as the newest elements. */
+    void
+    commit(std::size_t n)
+    {
+        panic_if(size_ + n > slots_.size(), "commit() past the reservation");
+        size_ += n;
+        stats_.pushes += n;
+    }
+
     /** Oldest element. */
     const T &
     front() const

@@ -142,34 +142,73 @@ SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t max)
     return max;
 }
 
+namespace
+{
+
+/** The serializer injected after the record at @p pc. */
+TraceRecord
+serializerAfter(Addr pc)
+{
+    return TraceRecord{.pc = pc + 4, .op = OpClass::Serialize};
+}
+
+} // namespace
+
 void
 SyntheticWorkload::finishRecord(Addr pc)
 {
     if (++sinceSerialize_ >= cfg_.serializeEvery) {
         sinceSerialize_ = 0;
-        TraceRecord &s = buf_.pushSlot();
-        s = TraceRecord{};
-        s.pc = pc + 4;
-        s.op = OpClass::Serialize;
+        buf_.pushSlot() = serializerAfter(pc);
     }
 }
 
 void
-SyntheticWorkload::emitAlu()
+SyntheticWorkload::emitAluRun(unsigned n)
 {
-    TraceRecord &r = beginRecord();
-    const Addr pc = curPc_;
-    r.pc = pc;
-    curPc_ = pc + 4;
-    r.op = OpClass::IntAlu;
-    // Filler is mostly a dependent chain: commercial codes run at
-    // CPI_perf around 1.2 (Table 1), not at peak superscalar IPC.
-    r.dstReg = RegAlu0 + aluIdx_;
-    r.srcReg0 = (aluPhase_ == 3) ? NoReg : RegAlu0 + aluPlus(23);
-    r.srcReg1 = RegAlu0 + aluPlus(11);
-    aluIdx_ = aluPlus(1);
-    aluPhase_ = (aluPhase_ + 1) & 3;
-    finishRecord(pc);
+    // One ring reservation for the whole run, with the pc, register
+    // rotation and serializer countdown held in locals. Each record
+    // counts toward the next serializer as finishRecord() counts it,
+    // so the run reserves its own count plus the serializers it will
+    // inject -- no more than per-record pushes would grow the ring by.
+    // (serializeEvery 0 behaves as 1, and a countdown already past due
+    // fires on the first record, both as in finishRecord().)
+    const std::uint64_t every =
+        std::max<std::uint64_t>(cfg_.serializeEvery, 1);
+    std::uint64_t since = std::min(sinceSerialize_, every - 1);
+    const std::uint64_t due = every - since; // records to the next one
+    const std::size_t total =
+        n < due ? n : n + 1 + (n - due) / every;
+    const auto slot = buf_.reserveBack(total);
+    Addr pc = curPc_;
+    unsigned idx = aluIdx_;
+    unsigned phase = aluPhase_;
+    std::size_t k = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        // Filler is mostly a dependent chain: commercial codes run at
+        // CPI_perf around 1.2 (Table 1), not at peak superscalar IPC.
+        const std::uint8_t dst = RegAlu0 + idx;
+        const std::uint8_t src0 =
+            phase == 3 ? NoReg : RegAlu0 + aluWrap(idx + 23);
+        const std::uint8_t src1 = RegAlu0 + aluWrap(idx + 11);
+        slot[k++] = TraceRecord{.pc = pc,
+                                .op = OpClass::IntAlu,
+                                .dstReg = dst,
+                                .srcReg0 = src0,
+                                .srcReg1 = src1};
+        if (++since >= every) {
+            since = 0;
+            slot[k++] = serializerAfter(pc);
+        }
+        pc += 4;
+        idx = aluWrap(idx + 1);
+        phase = (phase + 1) & 3;
+    }
+    buf_.commit(k);
+    curPc_ = pc;
+    aluIdx_ = idx;
+    aluPhase_ = phase;
+    sinceSerialize_ = since;
 }
 
 void
@@ -191,7 +230,7 @@ SyntheticWorkload::emitBranch(Addr target, bool noisy)
 void
 SyntheticWorkload::emitCode(unsigned n)
 {
-    for (unsigned i = 0; i < n; ++i) {
+    while (n > 0) {
         if (blockLeft_ == 0) {
             // End of a basic block: branch to the next one (wrapping
             // inside the function to bound its footprint).
@@ -200,9 +239,13 @@ SyntheticWorkload::emitCode(unsigned n)
                 next = fnBase_;
             emitBranch(next, rng_.chance(cfg_.branchNoise));
             blockLeft_ = cfg_.blockInsts - 1;
+            --n;
         } else {
-            emitAlu();
-            --blockLeft_;
+            // The rest of the block (or of the request) is ALU filler.
+            const unsigned run = std::min(n, blockLeft_);
+            emitAluRun(run);
+            blockLeft_ -= run;
+            n -= run;
         }
     }
 }

@@ -104,7 +104,8 @@ class SyntheticWorkload : public TraceSource
 
     /** Emit @p n code instructions (ALU + block-end branches). */
     void emitCode(unsigned n);
-    void emitAlu();
+    /** Emit @p n ALU filler records through one ring reservation. */
+    void emitAluRun(unsigned n);
     void emitBranch(Addr target, bool noisy);
     void emitDispatcherStep();
     void emitCall(Addr fn_base);
@@ -152,13 +153,11 @@ class SyntheticWorkload : public TraceSource
     unsigned aluPhase_ = 0;
     unsigned loadIdx_ = 0;
 
-    /** (aluIdx_ + k) % 24 for k < 24, without the division. */
-    unsigned
-    aluPlus(unsigned k) const
-    {
-        const unsigned i = aluIdx_ + k;
-        return i >= 24 ? i - 24 : i;
-    }
+    /** @p i % 24 for i < 48, without the division. */
+    static unsigned aluWrap(unsigned i) { return i >= 24 ? i - 24 : i; }
+
+    /** (aluIdx_ + k) % 24 for k < 24. */
+    unsigned aluPlus(unsigned k) const { return aluWrap(aluIdx_ + k); }
     std::uint64_t sinceSerialize_ = 0;
     std::uint64_t oneShot_ = 0; //!< counter for one-shot key synthesis
 

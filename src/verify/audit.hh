@@ -246,11 +246,6 @@ class Auditor
  */
 #ifndef EBCP_DISABLE_AUDIT
 #define EBCP_AUDIT_ENABLED 1
-#define EBCP_AUDIT_RETIRE(aud, now)                                    \
-    do {                                                               \
-        if (aud)                                                       \
-            (aud)->onRetire(now);                                      \
-    } while (0)
 #define EBCP_AUDIT_EPOCH(aud, now)                                     \
     do {                                                               \
         if (aud)                                                       \
@@ -258,9 +253,6 @@ class Auditor
     } while (0)
 #else
 #define EBCP_AUDIT_ENABLED 0
-#define EBCP_AUDIT_RETIRE(aud, now)                                    \
-    do {                                                               \
-    } while (0)
 #define EBCP_AUDIT_EPOCH(aud, now)                                     \
     do {                                                               \
     } while (0)

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/cache_config.hh"
 #include "cache/tag_array.hh"
+#include "ckpt/archiver.hh"
+#include "ckpt/containers.hh"
+#include "util/random.hh"
 
 using namespace ebcp;
 
@@ -27,7 +33,253 @@ smallCache()
     return c;
 }
 
+/**
+ * Naive reference tag array: one {tag, valid, dirty, stamp} struct per
+ * way and a linear valid/tag scan, with the victim rule spelled out
+ * (first invalid way, else a random way or the lowest-indexed oldest
+ * stamp). Its checkpoint writes that struct way by way -- the byte
+ * layout the real array must keep.
+ */
+class RefTagArray
+{
+  public:
+    RefTagArray(unsigned sets, unsigned ways, unsigned line_bytes,
+                ReplPolicy repl)
+        : sets_(sets), ways_(ways), shift_(floorLog2(line_bytes)),
+          repl_(repl), v_(static_cast<std::size_t>(sets) * ways)
+    {}
+
+    bool contains(Addr a) const { return find(a) >= 0; }
+
+    bool
+    access(Addr a, bool write)
+    {
+        const int w = find(a);
+        if (w < 0)
+            return false;
+        Way &wy = way(a, static_cast<unsigned>(w));
+        wy.stamp = ++counter_;
+        wy.dirty = wy.dirty || write;
+        return true;
+    }
+
+    Eviction
+    insert(Addr a, bool dirty)
+    {
+        const int hit = find(a);
+        if (hit >= 0) {
+            Way &wy = way(a, static_cast<unsigned>(hit));
+            wy.stamp = ++counter_;
+            wy.dirty = wy.dirty || dirty;
+            return {};
+        }
+        Way &wy = way(a, victim(a));
+        Eviction ev;
+        if (wy.valid) {
+            ev.valid = true;
+            ev.dirty = wy.dirty;
+            ev.lineAddr = wy.tag << shift_;
+        }
+        wy = Way{a >> shift_, true, dirty, ++counter_};
+        return ev;
+    }
+
+    bool
+    invalidate(Addr a)
+    {
+        const int w = find(a);
+        if (w < 0)
+            return false;
+        way(a, static_cast<unsigned>(w)).valid = false;
+        return true;
+    }
+
+    std::vector<Addr>
+    validLines() const
+    {
+        std::vector<Addr> out;
+        for (const Way &w : v_)
+            if (w.valid)
+                out.push_back(w.tag << shift_);
+        return out;
+    }
+
+    std::string
+    ckptBytes()
+    {
+        std::string out;
+        ckpt::Archiver ar = ckpt::Archiver::saver(out);
+        ar.fixedVec(v_, [](ckpt::Archiver &a, Way &w) {
+            a.u64(w.tag);
+            a.boolean(w.valid);
+            a.boolean(w.dirty);
+            a.u64(w.stamp);
+        }, "tag array ways");
+        ar.u64(counter_);
+        ckpt::ckptPcg32(ar, rng_);
+        return out;
+    }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+
+    unsigned setOf(Addr a) const { return (a >> shift_) & (sets_ - 1); }
+
+    Way &way(Addr a, unsigned w) { return v_[setOf(a) * ways_ + w]; }
+
+    int
+    find(Addr a) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            const Way &wy = v_[setOf(a) * ways_ + w];
+            if (wy.valid && wy.tag == (a >> shift_))
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    unsigned
+    victim(Addr a)
+    {
+        for (unsigned w = 0; w < ways_; ++w)
+            if (!way(a, w).valid)
+                return w;
+        if (repl_ == ReplPolicy::Random)
+            return rng_.below(ways_);
+        unsigned best = 0;
+        for (unsigned w = 1; w < ways_; ++w)
+            if (way(a, w).stamp < way(a, best).stamp)
+                best = w;
+        return best;
+    }
+
+    unsigned sets_;
+    unsigned ways_;
+    unsigned shift_;
+    ReplPolicy repl_;
+    std::vector<Way> v_;
+    std::uint64_t counter_ = 0;
+    Pcg32 rng_{12345};
+};
+
+std::string
+ckptBytes(TagArray &t)
+{
+    std::string out;
+    ckpt::Archiver ar = ckpt::Archiver::saver(out);
+    t.ckpt(ar);
+    return out;
+}
+
+std::vector<Addr>
+validLines(const TagArray &t)
+{
+    std::vector<Addr> out;
+    t.forEachValidLine([&out](Addr a) { out.push_back(a); });
+    return out;
+}
+
+/**
+ * Drive @p ops random operations through a real and a reference array
+ * of the given geometry, comparing every answer. Addresses come from a
+ * pool three times the capacity so sets keep overflowing.
+ */
+void
+compareWithReference(unsigned sets, unsigned ways, ReplPolicy repl,
+                     bool with_invalidate, std::uint64_t seed,
+                     unsigned ops)
+{
+    TagArray real(sets, ways, 64, repl);
+    RefTagArray ref(sets, ways, 64, repl);
+    Pcg32 rng(seed);
+    const std::uint32_t pool = sets * ways * 3;
+    for (unsigned i = 0; i < ops; ++i) {
+        const Addr a = (static_cast<Addr>(rng.below(pool)) << 6) |
+                       rng.below(64);
+        const unsigned pick = rng.below(100);
+        if (pick < 45) {
+            const bool write = rng.below(4) == 0;
+            ASSERT_EQ(real.access(a, write), ref.access(a, write)) << i;
+        } else if (pick < 85) {
+            const bool dirty = rng.below(3) == 0;
+            const Eviction e = real.insert(a, dirty);
+            const Eviction r = ref.insert(a, dirty);
+            ASSERT_EQ(e.valid, r.valid) << i;
+            ASSERT_EQ(e.dirty, r.dirty) << i;
+            ASSERT_EQ(e.lineAddr, r.lineAddr) << i;
+        } else if (pick < 95 || !with_invalidate) {
+            ASSERT_EQ(real.contains(a), ref.contains(a)) << i;
+        } else {
+            ASSERT_EQ(real.invalidate(a), ref.invalidate(a)) << i;
+        }
+        if (i % 997 == 0) {
+            ASSERT_EQ(real.validCount(), ref.validLines().size()) << i;
+            ASSERT_EQ(validLines(real), ref.validLines()) << i;
+        }
+    }
+    EXPECT_EQ(real.validCount(), ref.validLines().size());
+    EXPECT_EQ(validLines(real), ref.validLines());
+    // Only invalidate() -- which no simulator path calls -- leaves an
+    // invalid way with a stale tag and stamp in the reference.
+    if (!with_invalidate) {
+        EXPECT_EQ(ckptBytes(real), ref.ckptBytes());
+    }
+}
+
 } // namespace
+
+TEST(TagArrayReference, MatchesNaiveScanAtL1AndL2Geometry)
+{
+    // L1: 32 KiB 4-way; L2: 2 MiB 4-way (SimConfig defaults), plus an
+    // 8-way shape so the scan covers more than one compare group.
+    struct Shape
+    {
+        unsigned sets, ways;
+    };
+    for (const Shape s : {Shape{128, 4}, Shape{8192, 4}, Shape{64, 8}}) {
+        for (const ReplPolicy p : {ReplPolicy::Lru, ReplPolicy::Random}) {
+            for (const bool inv : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << s.sets << "x" << s.ways << " "
+                             << (p == ReplPolicy::Lru ? "lru" : "random")
+                             << (inv ? " +invalidate" : ""));
+                compareWithReference(s.sets, s.ways, p, inv,
+                                     s.sets * 31 + s.ways + inv, 60000);
+            }
+        }
+    }
+}
+
+TEST(TagArrayReference, FilledArrayCheckpointKeepsStructLayout)
+{
+    // A filled array restores into a fresh one and re-serializes to
+    // the same bytes, which equal the reference struct layout.
+    TagArray a(128, 4, 64);
+    RefTagArray ref(128, 4, 64, ReplPolicy::Lru);
+    Pcg32 rng(7);
+    for (unsigned i = 0; i < 5000; ++i) {
+        const Addr addr = static_cast<Addr>(rng.below(4096)) << 6;
+        if (!a.access(addr, i % 5 == 0))
+            a.insert(addr, i % 7 == 0);
+        if (!ref.access(addr, i % 5 == 0))
+            ref.insert(addr, i % 7 == 0);
+    }
+    const std::string bytes = ckptBytes(a);
+    EXPECT_EQ(bytes, ref.ckptBytes());
+
+    TagArray b(128, 4, 64);
+    ckpt::Archiver ld = ckpt::Archiver::loader(bytes.data(), bytes.size());
+    b.ckpt(ld);
+    ASSERT_TRUE(ld.ok()) << ld.status().toString();
+    EXPECT_EQ(ckptBytes(b), bytes);
+    EXPECT_EQ(validLines(b), validLines(a));
+}
 
 TEST(TagArrayTest, MissThenHitAfterInsert)
 {

@@ -28,8 +28,11 @@
 #include "trace/workloads.hh"
 #include "util/crc32.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
 using namespace ebcp::harness;
+using ebcp_test::tempPath;
 
 namespace
 {
@@ -85,12 +88,6 @@ warmAndMeasure(const SimConfig &cfg, const PrefetcherParams &pf,
     if (r.ok())
         out.coldResults = r.take();
     return out;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
 }
 
 } // namespace

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "ckpt/archiver.hh"
 #include "cpu/core_model.hh"
 #include "cpu/mem_iface.hh"
 
@@ -277,6 +282,259 @@ TEST(CoreModel, RunConsumesFromSource)
     core.run(src, 321);
     EXPECT_EQ(src.produced, 321);
     EXPECT_EQ(core.instCount(), 321u);
+}
+
+namespace
+{
+
+/** Deterministic memory stub that also fingerprints every call, so
+ * two cores can be checked for issuing the same memory traffic. */
+class LoggingMem : public MemSystem
+{
+  public:
+    std::uint64_t log = 0xcbf29ce484222325ULL;
+    Addr hugeLine = InvalidAddr; //!< load line that stalls for ages
+
+    MemOutcome
+    fetchInst(Addr pc, Tick when) override
+    {
+        note(1, pc, when);
+        const bool miss = (pc >> 6) % 13 == 0;
+        return {when + (miss ? 400 : 2), miss};
+    }
+
+    MemOutcome
+    load(Addr addr, Addr pc, Tick when) override
+    {
+        note(2, addr ^ (pc << 1), when);
+        if ((addr & ~Addr{63}) == hugeLine)
+            return {when + 5'000'000, true};
+        const bool miss = (addr >> 6) % 5 == 0;
+        return {when + (miss ? 300 : 3), miss};
+    }
+
+    Tick
+    store(Addr addr, Tick when) override
+    {
+        note(3, addr, when);
+        return when + 1 + (addr >> 6) % 7;
+    }
+
+    unsigned lineBytes() const override { return 64; }
+
+  private:
+    void
+    note(std::uint64_t kind, std::uint64_t a, std::uint64_t b)
+    {
+        for (const std::uint64_t v : {kind, a, b}) {
+            log ^= v;
+            log *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * A recorded mixed stream: ALU chains, loads, stores, mispredicting
+ * branches, calls and returns, serializers, FP ops, and register ids
+ * outside the architectural range (which the core must ignore).
+ */
+std::vector<TraceRecord>
+mixedStream(std::size_t n)
+{
+    std::vector<TraceRecord> out;
+    out.reserve(n);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    const auto rnd = [&x](std::uint64_t bound) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x % bound;
+    };
+    const auto reg = [&rnd]() -> std::uint8_t {
+        const std::uint64_t k = rnd(100);
+        if (k < 70)
+            return static_cast<std::uint8_t>(rnd(NumArchRegs));
+        if (k < 90)
+            return NoReg;
+        return static_cast<std::uint8_t>(NumArchRegs + rnd(100));
+    };
+    Addr pc = 0x10000;
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord r;
+        r.pc = pc;
+        r.dstReg = reg();
+        r.srcReg0 = reg();
+        r.srcReg1 = reg();
+        const std::uint64_t k = rnd(1000);
+        if (k < 550) {
+            r.op = OpClass::IntAlu;
+        } else if (k < 720) {
+            r.op = OpClass::Load;
+            r.addr = 0x400000 + rnd(1 << 16) * 64;
+        } else if (k < 800) {
+            r.op = OpClass::Store;
+            r.addr = 0x800000 + rnd(1 << 12) * 64;
+            r.dstReg = NoReg;
+        } else if (k < 900) {
+            r.op = OpClass::Branch;
+            r.taken = rnd(3) != 0;
+            r.target = 0x10000 + rnd(4096) * 4;
+        } else if (k < 930) {
+            r.op = OpClass::Call;
+            r.taken = true;
+            r.target = 0x20000 + rnd(512) * 64;
+        } else if (k < 960) {
+            r.op = OpClass::Return;
+            r.taken = true;
+            r.target = 0x10000 + rnd(4096) * 4;
+        } else if (k < 975) {
+            r.op = OpClass::FpAdd;
+        } else if (k < 990) {
+            r.op = OpClass::FpMul;
+        } else if (k < 995) {
+            r.op = OpClass::Serialize;
+        } else {
+            r.op = OpClass::Nop;
+        }
+        out.push_back(r);
+        pc = r.taken ? r.target : pc + 4;
+    }
+    return out;
+}
+
+/** Replays a record vector; spans are capped so a run crosses many
+ * span boundaries. Answers false from spanSource() on request, which
+ * routes the core through decode-ahead's chunk copies instead. */
+class VectorSource : public TraceSource
+{
+  public:
+    VectorSource(const std::vector<TraceRecord> &recs, bool span)
+        : recs_(recs), span_(span)
+    {}
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ == recs_.size())
+            return false;
+        rec = recs_[pos_++];
+        return true;
+    }
+
+    bool spanSource() const override { return span_; }
+
+    std::size_t
+    peekSpan(const TraceRecord **out, std::size_t max) override
+    {
+        *out = recs_.data() + pos_;
+        return std::min({max, recs_.size() - pos_, std::size_t{1000}});
+    }
+
+    void consumeSpan(std::size_t n) override { pos_ += n; }
+    void reset() override { pos_ = 0; }
+
+  private:
+    const std::vector<TraceRecord> &recs_;
+    bool span_;
+    std::size_t pos_ = 0;
+};
+
+std::string
+ckptBytes(CoreModel &core)
+{
+    std::string out;
+    ckpt::Archiver ar = ckpt::Archiver::saver(out);
+    core.ckpt(ar);
+    return out;
+}
+
+std::string
+statsDump(CoreModel &core)
+{
+    std::ostringstream os;
+    core.stats().dump(os);
+    return os.str();
+}
+
+/** Run @p recs through run() on one core and process() on another and
+ * require identical state; @p watchdog and @p deadline arm the run
+ * core's trip machinery (the process core re-derives the trip). */
+void
+expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
+                        Addr huge_line, Tick watchdog, bool deadline)
+{
+    LoggingMem mem_run;
+    LoggingMem mem_proc;
+    mem_run.hugeLine = mem_proc.hugeLine = huge_line;
+    CoreModel run_core({}, mem_run);
+    CoreModel proc_core({}, mem_proc);
+    run_core.setWatchdog(watchdog);
+    if (deadline)
+        run_core.setWallDeadline(std::chrono::steady_clock::now() +
+                                 std::chrono::hours(1));
+
+    // Split at a point that is not a span or chunk boundary, with a
+    // measurement mark in between, as warm-up + measure does.
+    const std::uint64_t warm = 12'345;
+    VectorSource src(recs, span);
+    run_core.run(src, warm);
+    run_core.beginMeasurement();
+    if (!run_core.watchdogTripped())
+        run_core.run(src, recs.size() - warm);
+
+    Tick prev = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (i == warm)
+            proc_core.beginMeasurement();
+        const InstTiming t = proc_core.process(recs[i]);
+        if (watchdog && t.retire > prev + watchdog)
+            break;
+        prev = t.retire;
+    }
+
+    EXPECT_EQ(run_core.watchdogTripped(), watchdog != 0);
+    EXPECT_FALSE(run_core.wallDeadlineTripped());
+    EXPECT_EQ(run_core.now(), proc_core.now());
+    EXPECT_EQ(run_core.instCount(), proc_core.instCount());
+    EXPECT_EQ(run_core.measuredCycles(), proc_core.measuredCycles());
+    EXPECT_EQ(mem_run.log, mem_proc.log);
+    EXPECT_EQ(statsDump(run_core), statsDump(proc_core));
+    EXPECT_EQ(ckptBytes(run_core), ckptBytes(proc_core));
+}
+
+} // namespace
+
+TEST(CoreModelRunLoop, RunMatchesProcessOneRecordAtATime)
+{
+    const std::vector<TraceRecord> recs = mixedStream(60'000);
+    for (const bool span : {true, false}) {
+        for (const bool deadline : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "span=" << span
+                                            << " deadline=" << deadline);
+            expectRunMatchesProcess(recs, span, InvalidAddr, 0, deadline);
+        }
+    }
+}
+
+TEST(CoreModelRunLoop, WatchdogTripInsideASpanMatchesProcess)
+{
+    // One load deep inside a span stalls for 5M ticks: the watchdog
+    // trips on it mid-span and both cores must stop in the same state.
+    std::vector<TraceRecord> recs = mixedStream(60'000);
+    TraceRecord &stall = recs[31'415];
+    stall = TraceRecord{};
+    stall.pc = recs[31'414].pc + 4;
+    stall.op = OpClass::Load;
+    stall.addr = 0x7770000;
+    stall.dstReg = 7;
+    for (const bool span : {true, false}) {
+        for (const bool deadline : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "span=" << span
+                                            << " deadline=" << deadline);
+            expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
+                                    deadline);
+        }
+    }
 }
 
 TEST(CoreModel, FpOpsUseFpPipelines)

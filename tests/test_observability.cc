@@ -28,7 +28,10 @@
 #include "util/event_trace.hh"
 #include "util/json.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
+using ebcp_test::TempFile;
 
 namespace
 {
@@ -86,16 +89,6 @@ expectBitExact(const SimResults &a, const SimResults &b)
     EXPECT_EQ(a.readBusUtil, b.readBusUtil);
     EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
 }
-
-/** A temp path that removes itself. */
-struct TempFile
-{
-    std::string path;
-    explicit TempFile(const char *name)
-        : path(std::string(::testing::TempDir()) + name)
-    {}
-    ~TempFile() { std::remove(path.c_str()); }
-};
 
 } // namespace
 

@@ -23,20 +23,13 @@
 #include "util/json.hh"
 #include "util/profiler.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
+using ebcp_test::TempFile;
 
 namespace
 {
-
-/** A temp path that removes itself. */
-struct TempFile
-{
-    std::string path;
-    explicit TempFile(const char *name)
-        : path(std::string(::testing::TempDir()) + name)
-    {}
-    ~TempFile() { std::remove(path.c_str()); }
-};
 
 SimResults
 runSmall(const char *workload, const char *pf_name)

@@ -19,6 +19,8 @@
 #include "harness/sweep.hh"
 #include "trace/workloads.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
 using namespace ebcp::harness;
 
@@ -219,8 +221,7 @@ TEST(SweepDeterminism, JournalResumeMergesBitIdentical)
     const std::vector<RunDesc> first(descs.begin(),
                                      descs.begin() + half);
 
-    const std::string path =
-        ::testing::TempDir() + "/sweep_resume.jsonl";
+    const std::string path = ebcp_test::tempPath("sweep_resume.jsonl");
     std::remove(path.c_str());
 
     SweepOptions opts;

@@ -22,21 +22,14 @@
 #include "harness/telemetry.hh"
 #include "util/json.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
 using namespace ebcp::harness;
+using ebcp_test::TempFile;
 
 namespace
 {
-
-/** A temp path that removes itself. */
-struct TempFile
-{
-    std::string path;
-    explicit TempFile(const char *name)
-        : path(std::string(::testing::TempDir()) + name)
-    {}
-    ~TempFile() { std::remove(path.c_str()); }
-};
 
 /** Small sweep over distinct run lengths so jobs=4 finishes them out
  * of submission order. */

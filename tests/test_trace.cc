@@ -242,6 +242,78 @@ TEST(WorkloadTest, DataAddressesAreIrregular)
     EXPECT_LT(max_count, 3000);
 }
 
+namespace
+{
+
+/** FNV-1a over every field of the first @p n records of @p w, drained
+ * through the zero-copy span interface the core loop uses. */
+std::uint64_t
+streamHash(SyntheticWorkload &w, std::uint64_t n,
+           std::uint64_t *serializers)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mixIn = [&h](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    *serializers = 0;
+    std::uint64_t left = n;
+    // Alternate span caps so partial consumption of a buffered
+    // transaction is exercised as well as whole-span drains.
+    const std::size_t caps[] = {8192, 777, 1, 4096};
+    for (unsigned k = 0; left > 0; ++k) {
+        const TraceRecord *span = nullptr;
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, caps[k % 4]));
+        const std::size_t got = w.peekSpan(&span, want);
+        for (std::size_t i = 0; i < got; ++i) {
+            const TraceRecord &r = span[i];
+            mixIn(r.pc);
+            mixIn(r.addr);
+            mixIn(static_cast<std::uint64_t>(r.op));
+            mixIn(r.dstReg);
+            mixIn(r.srcReg0);
+            mixIn(r.srcReg1);
+            mixIn(r.taken);
+            mixIn(r.target);
+            if (r.op == OpClass::Serialize)
+                ++*serializers;
+        }
+        w.consumeSpan(got);
+        left -= got;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(WorkloadTest, RecordStreamIsPinnedAtTheSource)
+{
+    // Hashes of the first 2M records of each calibrated workload: any
+    // emitter change that moves a single field fails here, before a
+    // SimResults golden does. The window crosses about 40 serializer
+    // injections and wraps the record ring many times.
+    const std::map<std::string, std::uint64_t> expected = {
+        {"database", 0x4e0e8068d32d5531ULL},
+        {"tpcw", 0xe6eec4b1ba46508eULL},
+        {"specjbb", 0xa214188b0b3bae7dULL},
+        {"specjas", 0xe90c43f370c799c4ULL},
+    };
+    constexpr std::uint64_t kRecords = 2'000'000;
+    for (const auto &name : workloadNames()) {
+        auto w = makeWorkload(name);
+        std::uint64_t serializers = 0;
+        const std::uint64_t h = streamHash(*w, kRecords, &serializers);
+        EXPECT_EQ(h, expected.at(name))
+            << name << " stream hash 0x" << std::hex << h;
+        EXPECT_GE(serializers, 39u) << name;
+        EXPECT_EQ(w->ringStats().grows, 0u) << name;
+        EXPECT_EQ(w->ringStats().pops, kRecords) << name;
+    }
+}
+
 TEST(WorkloadTest, RecurringKeysReplayAddresses)
 {
     // The property correlation prefetching depends on: the same

@@ -20,16 +20,18 @@
 #include "trace/workloads.hh"
 #include "util/crc32.hh"
 
+#include "temp_path.hh"
+
 using namespace ebcp;
 
 namespace
 {
 
-/** Temp file path unique to this test binary run. */
+/** Temp file path unique to this test process. */
 std::string
 tmpPath(const std::string &tag)
 {
-    return testing::TempDir() + "ebcp_trace_" + tag + ".trc";
+    return ebcp_test::tempPath("trace_" + tag + ".trc");
 }
 
 /** Open a writer, asserting success. */

@@ -79,7 +79,8 @@ printHelp()
         "run control:\n"
         "  workload=database|tpcw|specjbb|specjas   synthetic workload\n"
         "  trace=PATH          replay a trace file instead\n"
-        "  seed=N              workload seed override\n"
+        "  seed=N              workload seed override (CMP core i\n"
+        "                      replays seed+i, or 1000+i at 0)\n"
         "  warm=N measure=N    window sizes (insts)\n"
         "  cores=N             CMP mode with N cores (workloads only)\n"
         "  dump_stats=0|1      dump every statistic after the run\n"
@@ -127,7 +128,7 @@ printHelp()
         "                      on a violation: keep running and report,\n"
         "                      or stop the run with an error\n"
         "\n"
-        "checkpointing (single-core):\n"
+        "checkpointing:\n"
         "  save_ckpt=PATH      snapshot the warmed state to PATH\n"
         "                      (written atomically) before measuring\n"
         "  restore_ckpt=PATH   restore warm state from PATH instead of\n"
@@ -474,100 +475,13 @@ main(int argc, char **argv)
     const std::uint64_t warm = cs.getU64("warm", 2'000'000);
     const std::uint64_t measure = cs.getU64("measure", 4'000'000);
 
-    if (cores > 1) {
-        if (cs.has("trace"))
-            return fail(invalidArgError(
-                "CMP mode replays workloads only"));
-        if (interval)
-            return fail(invalidArgError(
-                "interval= sampling is single-core only"));
-        if (!save_ckpt.empty() || !restore_ckpt.empty())
-            return fail(invalidArgError(
-                "save_ckpt=/restore_ckpt= are single-core only; use "
-                "the sweep runner's warm-reuse machinery for CMP "
-                "configurations"));
-        const std::string workload =
-            cs.getString("workload", "database");
-        telem.open(telemetry_out, metrics_out,
-                   workload + "/" + pf.name + "/cmp" +
-                       std::to_string(cores));
-
-        CmpSystem sys(cfg, pf, cores);
-        if (Status s = sys.configureAudit(audit_opts); !s.ok())
-            return fail(s);
-        TraceLog tlog;
-        if (!trace_out.empty())
-            sys.attachTraceLog(tlog);
-        sys.setTracePolicyName(policy_name);
-        std::vector<std::unique_ptr<SyntheticWorkload>> owned;
-        std::vector<TraceSource *> sources;
-        for (unsigned i = 0; i < cores; ++i) {
-            StatusOr<std::unique_ptr<SyntheticWorkload>> w =
-                tryMakeWorkload(workload, 1000 + i);
-            if (!w.ok())
-                return fail(w.status());
-            owned.push_back(w.take());
-            sources.push_back(owned.back().get());
-        }
-        StatusOr<CmpResults> res = sys.tryRun(sources, warm, measure);
-        if (!res.ok()) {
-            // Best-effort artifacts: a stalled run's trace and
-            // diagnostic are exactly what the operator needs next.
-            if (!stats_json_path.empty()) {
-                Status s =
-                    exportStatsDoc(stats_json_path, [](JsonWriter &) {},
-                                   sys.lastDiagnosticJson(),
-                                   sys.auditSummaryJson());
-                if (!s.ok())
-                    std::cerr << "ebcp_cli: stats_json export failed: "
-                              << s.toString() << "\n";
-            }
-            if (!trace_out.empty())
-                exportTrace(tlog, trace_out);
-            telem.finish(res.status(), 0);
-            return fail(res.status());
-        }
-        CmpResults r = res.take();
-        telem.finish(Status(), foldCmpResults(r).insts);
-        std::cout << cores << "-core '" << workload << "' with "
-                  << pf.name << ":\n  aggregate CPI "
-                  << r.aggregateCpi << ", coverage "
-                  << r.coverage * 100.0 << "%, accuracy "
-                  << r.accuracy * 100.0 << "%, timeliness "
-                  << r.timeliness * 100.0 << "%\n";
-        for (unsigned i = 0; i < cores; ++i)
-            std::cout << "  core " << i << ": CPI "
-                      << r.perCore[i].cpi << "\n";
-        printAuditSummary(sys.auditor());
-
-        if (!trace_out.empty())
-            if (int rc = exportTrace(tlog, trace_out))
-                return rc;
-        if (!stats_json_path.empty()) {
-            const std::string label = workload + "/" + pf.name +
-                                      "/cmp" + std::to_string(cores);
-            const SimResults folded = foldCmpResults(r);
-            Status s = exportStatsDoc(
-                stats_json_path,
-                [&](JsonWriter &w) {
-                    w.beginObject();
-                    w.kv("label", label);
-                    w.key("results");
-                    writeSimResultsJson(w, folded);
-                    w.endObject();
-                },
-                {}, sys.auditSummaryJson());
-            if (!s.ok())
-                return fail(s);
-            std::cout << "  wrote " << stats_json_path << " (schema "
-                      << StatsJsonSchema << ", validated)\n";
-        }
-        return 0;
-    }
-
-    // Build the trace source chain: file or workload, optionally
-    // wrapped in the fault injector.
-    std::unique_ptr<TraceSource> src;
+    // Build each core's trace source chain: a file (single-core only)
+    // or a workload instance, optionally wrapped in the fault injector.
+    if (cores == 0)
+        return fail(invalidArgError("cores= must be at least 1"));
+    if (cores > 1 && cs.has("trace"))
+        return fail(invalidArgError("CMP mode replays workloads only"));
+    std::vector<std::unique_ptr<TraceSource>> owned;
     FileTraceSource *file_src = nullptr;
     std::string source_name;
     if (cs.has("trace")) {
@@ -577,29 +491,39 @@ main(int argc, char **argv)
         if (!f.ok())
             return fail(f.status());
         file_src = f.value().get();
-        src = f.take();
+        owned.push_back(f.take());
     } else {
         source_name = cs.getString("workload", "database");
-        StatusOr<std::unique_ptr<SyntheticWorkload>> w =
-            tryMakeWorkload(source_name, cs.getU64("seed", 0));
-        if (!w.ok())
-            return fail(w.status());
-        src = w.take();
+        for (unsigned i = 0; i < cores; ++i) {
+            StatusOr<std::unique_ptr<SyntheticWorkload>> w =
+                tryMakeWorkload(source_name,
+                                coreSeed(cs.getU64("seed", 0), i, cores));
+            if (!w.ok())
+                return fail(w.status());
+            owned.push_back(w.take());
+        }
     }
 
-    std::unique_ptr<FaultInjectingTraceSource> injector;
-    TraceSource *run_src = src.get();
-    if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
-        cfg.faults.traceShortRead) {
-        injector = std::make_unique<FaultInjectingTraceSource>(
-            *src, cfg.faults);
-        run_src = injector.get();
+    std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
+    std::vector<TraceSource *> sources;
+    for (const auto &o : owned) {
+        sources.push_back(o.get());
+        if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
+            cfg.faults.traceShortRead) {
+            injectors.push_back(
+                std::make_unique<FaultInjectingTraceSource>(*o,
+                                                            cfg.faults));
+            sources.back() = injectors.back().get();
+        }
     }
-    telem.open(telemetry_out, metrics_out, source_name + "/" + pf.name);
+    const std::string label =
+        source_name + "/" + pf.name +
+        (cores > 1 ? "/cmp" + std::to_string(cores) : "");
+    telem.open(telemetry_out, metrics_out, label);
 
     TraceLog tlog;
     std::unique_ptr<IntervalSampler> sampler;
-    auto sim = std::make_unique<Simulator>(cfg, pf);
+    auto sim = std::make_unique<Simulator>(cfg, pf, cores);
     // Setup is a lambda because a rebuild-policy fallback after a bad
     // checkpoint constructs a fresh simulator and must redo it.
     auto setupSim = [&](Simulator &s) -> Status {
@@ -611,7 +535,8 @@ main(int argc, char **argv)
         if (interval) {
             sampler = std::make_unique<IntervalSampler>(
                 s.l2side().stats(), interval);
-            s.setSampler(sampler.get());
+            if (Status st = s.setSampler(sampler.get()); !st.ok())
+                return st;
         }
         return Status();
     };
@@ -620,7 +545,7 @@ main(int argc, char **argv)
 
     bool cold = true;
     if (!restore_ckpt.empty()) {
-        Status rs = sim->restoreCheckpointFile(restore_ckpt, *run_src);
+        Status rs = sim->restoreCheckpointFile(restore_ckpt, sources);
         if (rs.ok()) {
             cold = false;
             std::cout << "  restored checkpoint " << restore_ckpt
@@ -632,24 +557,25 @@ main(int argc, char **argv)
             // component state, so start over from scratch.
             warn("checkpoint '", restore_ckpt, "' unusable (",
                  rs.toString(), "); rebuilding warm state cold");
-            sim = std::make_unique<Simulator>(cfg, pf);
+            sim = std::make_unique<Simulator>(cfg, pf, cores);
             if (Status s = setupSim(*sim); !s.ok())
                 return fail(s);
-            run_src->reset();
+            for (TraceSource *src : sources)
+                src->reset();
         }
     }
 
     StatusOr<SimResults> res = [&]() -> StatusOr<SimResults> {
         if (cold)
-            if (Status ws = sim->runWarm(*run_src, warm); !ws.ok())
+            if (Status ws = sim->runWarm(sources, warm); !ws.ok())
                 return ws;
         if (!save_ckpt.empty()) {
-            if (Status ss = sim->saveCheckpoint(save_ckpt, *run_src);
+            if (Status ss = sim->saveCheckpoint(save_ckpt, sources);
                 !ss.ok())
                 return ss;
             std::cout << "  wrote checkpoint " << save_ckpt << "\n";
         }
-        return sim->runMeasure(*run_src, measure);
+        return sim->runMeasure(sources, measure);
     }();
     if (!res.ok()) {
         // Best-effort artifacts: the trace up to the stall and the
@@ -671,7 +597,8 @@ main(int argc, char **argv)
     SimResults r = res.take();
     telem.finish(Status(), r.insts);
 
-    std::cout << "'" << source_name << "' with " << pf.name << ":\n"
+    std::cout << (cores > 1 ? std::to_string(cores) + "-core " : "")
+              << "'" << source_name << "' with " << pf.name << ":\n"
               << "  CPI " << r.cpi << "\n"
               << "  epochs/1000 insts " << r.epochsPer1k << "\n"
               << "  L2 miss/1000: inst " << r.l2InstMissPer1k
@@ -687,14 +614,17 @@ main(int argc, char **argv)
               << r.timeliness * 100.0 << "%)\n"
               << "  bus utilization: read " << r.readBusUtil * 100.0
               << "%, write " << r.writeBusUtil * 100.0 << "%\n";
+    for (unsigned i = 0; cores > 1 && i < cores; ++i)
+        std::cout << "  core " << i << ": CPI " << sim->core(i).cpi()
+                  << "\n";
     printAuditSummary(sim->auditor());
 
     // Robustness report: what was injected, what was recovered.
-    if (injector)
-        std::cout << "  faults injected: " << injector->bitflipsInjected()
-                  << " bitflips, " << injector->shortReadsInjected()
-                  << " short reads (" << injector->recordsDropped()
-                  << " records), " << injector->truncationsInjected()
+    for (const auto &inj : injectors)
+        std::cout << "  faults injected: " << inj->bitflipsInjected()
+                  << " bitflips, " << inj->shortReadsInjected()
+                  << " short reads (" << inj->recordsDropped()
+                  << " records), " << inj->truncationsInjected()
                   << " truncations\n";
     if (file_src) {
         std::cout << "  trace integrity: " << file_src->corruptChunks()
@@ -708,8 +638,9 @@ main(int argc, char **argv)
 
     if (cs.getBool("dump_stats", false)) {
         sim->dumpStats(std::cout);
-        if (injector)
-            injector->stats().dump(std::cout);
+        for (unsigned i = 0; i < injectors.size(); ++i)
+            injectors[i]->stats().dump(
+                std::cout, cores > 1 ? logFormat("core", i) : "");
         if (file_src)
             file_src->stats().dump(std::cout);
     }
@@ -722,7 +653,7 @@ main(int argc, char **argv)
             stats_json_path,
             [&](JsonWriter &w) {
                 w.beginObject();
-                w.kv("label", source_name + "/" + pf.name);
+                w.kv("label", label);
                 w.key("results");
                 writeSimResultsJson(w, r);
                 w.key("stats");

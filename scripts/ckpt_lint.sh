@@ -12,9 +12,10 @@
 #   - every file under src/ckpt/ (container layout, archiver
 #     encoding, container helpers), hashed whole;
 #   - the bodies of every `ckpt(ckpt::Archiver &)` serializer and of
-#     `serializeCheckpoint` / `restoreCheckpoint` (the section
-#     registries) in src/**/*.cc, extracted by brace position so
-#     unrelated edits in the same files do not trip the lint.
+#     `serializeCheckpoint` / `restoreCheckpoint` / `ckptSections`
+#     (the section registries) in src/**/*.cc, extracted by brace
+#     position so unrelated edits in the same files do not trip the
+#     lint.
 #
 # scripts/ckpt_format.lock records kCkptFormatVersion plus a per-file
 # SHA-256 of that surface. Usage:
@@ -69,10 +70,10 @@ surface() {
         printf '%s  %s\n' "$(sha256sum <"$f" | cut -d' ' -f1)" "$f"
     done
     for f in $(grep -rlE \
-            '::(ckpt\(ckpt::Archiver|serializeCheckpoint\(|restoreCheckpoint\()' \
+            '::(ckpt\(ckpt::Archiver|serializeCheckpoint\(|restoreCheckpoint\(|ckptSections\()' \
             src --include='*.cc' | sort); do
         printf '%s  %s (serializer bodies)\n' \
-            "$(awk '/::(ckpt\(ckpt::Archiver|serializeCheckpoint\(|restoreCheckpoint\()/ {p=1}
+            "$(awk '/::(ckpt\(ckpt::Archiver|serializeCheckpoint\(|restoreCheckpoint\(|ckptSections\()/ {p=1}
                     p {print}
                     p && /^\}/ {p=0}' "$f" | sha256sum | cut -d' ' -f1)" \
             "$f"

@@ -46,11 +46,12 @@ struct RunDesc
      * Workload seed. 0 selects the workload's calibrated default, so
      * every configuration sharing a workload replays the identical
      * trace (the paper's same-trace comparison methodology). CMP runs
-     * derive per-core seeds from this value.
+     * derive per-core seeds from this value with coreSeed().
      */
     std::uint64_t seed = 0;
 
-    /** Core count; >1 runs a CmpSystem with a shared L2. */
+    /** Core count; every core has private L1s over one shared L2,
+     * prefetcher and memory, and 1 is the single-core system. */
     unsigned cores = 1;
 };
 

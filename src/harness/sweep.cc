@@ -182,57 +182,66 @@ liveRunStateJson(const RunDesc &d, const char *state)
 }
 
 void
-armDeadline(CoreModel &core, double seconds)
+armDeadline(Simulator &sim, double seconds)
 {
     if (seconds <= 0.0)
         return;
-    core.setWallDeadline(
+    const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds)));
+            std::chrono::duration<double>(seconds));
+    for (unsigned i = 0; i < sim.cores(); ++i)
+        sim.core(i).setWallDeadline(deadline);
 }
 
 /** Name the failure when the wall budget, not a retire gap, tripped. */
 Status
-timeoutContext(Status s, const CoreModel &core, double seconds)
+timeoutContext(Status s, Simulator &sim, double seconds)
 {
-    if (!s.ok() && core.wallDeadlineTripped())
-        return s.withContext(logFormat("run exceeded the ", seconds,
-                                       "s wall-clock budget"));
+    for (unsigned i = 0; i < sim.cores(); ++i)
+        if (!s.ok() && sim.core(i).wallDeadlineTripped())
+            return s.withContext(logFormat("run exceeded the ", seconds,
+                                           "s wall-clock budget"));
     return s;
 }
 
-/** The trace-source stack + effective prefetcher params of one
- * single-core run; mirrors examples/ebcp_cli's wiring, including the
- * fault-injection wrapper and the EBCP-side fault plan. */
-struct SingleSource
+/** The per-core trace-source stacks + effective prefetcher params of
+ * one run; mirrors examples/ebcp_cli's wiring, including the
+ * fault-injection wrappers and the EBCP-side fault plan. */
+struct RunSources
 {
-    std::unique_ptr<SyntheticWorkload> owned;
-    std::unique_ptr<FaultInjectingTraceSource> injector;
-    TraceSource *source = nullptr;
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
+    std::vector<TraceSource *> sources;
     PrefetcherParams pf;
     Status status;
 };
 
-SingleSource
-buildSingleSource(const RunDesc &d)
+RunSources
+buildSources(const RunDesc &d)
 {
-    SingleSource out;
-    StatusOr<std::unique_ptr<SyntheticWorkload>> src =
-        tryMakeWorkload(d.workload, d.seed);
-    if (!src.ok()) {
-        out.status = src.status().withContext(runLabel(d));
+    RunSources out;
+    if (d.cores == 0) {
+        out.status = invalidArgError(runLabel(d), ": zero cores");
         return out;
     }
-    out.owned = src.take();
-    out.source = out.owned.get();
-
     const FaultPlan &faults = d.cfg.faults;
-    if (faults.traceBitflip || faults.traceTruncate ||
-        faults.traceShortRead) {
-        out.injector = std::make_unique<FaultInjectingTraceSource>(
-            *out.source, faults);
-        out.source = out.injector.get();
+    for (unsigned i = 0; i < d.cores; ++i) {
+        StatusOr<std::unique_ptr<SyntheticWorkload>> src =
+            tryMakeWorkload(d.workload, coreSeed(d.seed, i, d.cores));
+        if (!src.ok()) {
+            out.status = src.status().withContext(runLabel(d));
+            return out;
+        }
+        out.owned.push_back(src.take());
+        out.sources.push_back(out.owned.back().get());
+        if (faults.traceBitflip || faults.traceTruncate ||
+            faults.traceShortRead) {
+            out.injectors.push_back(
+                std::make_unique<FaultInjectingTraceSource>(
+                    *out.sources.back(), faults));
+            out.sources.back() = out.injectors.back().get();
+        }
     }
 
     out.pf = d.pf;
@@ -249,22 +258,22 @@ buildSingleSource(const RunDesc &d)
     return out;
 }
 
-/** Single-core run with a full (cold) warm-up window. */
+/** One run with a full (cold) warm-up window. */
 RunResult
-executeColdSingle(const RunDesc &d, const ExecContext &ctx)
+executeCold(const RunDesc &d, const ExecContext &ctx)
 {
     RunResult out;
-    SingleSource ss = buildSingleSource(d);
-    if (!ss.status.ok()) {
-        out.status = ss.status;
+    RunSources rs = buildSources(d);
+    if (!rs.status.ok()) {
+        out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf);
-    armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
+    Simulator sim(d.cfg, rs.pf, d.cores);
+    armDeadline(sim, ctx.opts.runTimeoutSeconds);
     StatusOr<SimResults> r =
-        sim.tryRun(*ss.source, d.scale.warm, d.scale.measure);
+        sim.tryRun(rs.sources, d.scale.warm, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim.core(),
+        out.status = timeoutContext(r.status(), sim,
                                     ctx.opts.runTimeoutSeconds)
                          .withContext(runLabel(d));
         return out;
@@ -273,30 +282,30 @@ executeColdSingle(const RunDesc &d, const ExecContext &ctx)
     return out;
 }
 
-/** Single-core run forking its measurement from the shared warm
- * checkpoint; degrades per CkptPolicy when the checkpoint is bad. */
+/** One run forking its measurement from the shared warm checkpoint;
+ * degrades per CkptPolicy when the checkpoint is bad. */
 RunResult
-executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
+executeWarm(const RunDesc &d, const ExecContext &ctx)
 {
     WarmEntry &entry = ctx.warm->entry(warmFingerprint(d));
     std::call_once(entry.once, [&] {
         if (ctx.telemetry)
             ctx.telemetry->emitLive(
                 "run_state", liveRunStateJson(d, "warm-building"));
-        SingleSource ws = buildSingleSource(d);
+        RunSources ws = buildSources(d);
         if (!ws.status.ok()) {
             entry.status = ws.status;
             return;
         }
-        Simulator wsim(d.cfg, ws.pf);
-        armDeadline(wsim.core(), ctx.opts.runTimeoutSeconds);
-        Status s = wsim.runWarm(*ws.source, d.scale.warm);
+        Simulator wsim(d.cfg, ws.pf, d.cores);
+        armDeadline(wsim, ctx.opts.runTimeoutSeconds);
+        Status s = wsim.runWarm(ws.sources, d.scale.warm);
         if (!s.ok()) {
-            entry.status = timeoutContext(std::move(s), wsim.core(),
+            entry.status = timeoutContext(std::move(s), wsim,
                                           ctx.opts.runTimeoutSeconds);
             return;
         }
-        StatusOr<std::string> blob = wsim.serializeCheckpoint(*ws.source);
+        StatusOr<std::string> blob = wsim.serializeCheckpoint(ws.sources);
         if (!blob.ok()) {
             entry.status = blob.status();
             return;
@@ -313,7 +322,7 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
         warn("sweep run ", runLabel(d), ": ", why, " (",
              cause.toString(),
              "); falling back to a cold warm-up (ckpt_policy=rebuild)");
-        RunResult r = executeColdSingle(d, ctx);
+        RunResult r = executeCold(d, ctx);
         r.coldFallback = true;
         if (ctx.coldFallbacks)
             ctx.coldFallbacks->fetch_add(1, std::memory_order_relaxed);
@@ -329,23 +338,23 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
         return coldFallback("warm checkpoint unavailable", entry.status);
     }
 
-    SingleSource ss = buildSingleSource(d);
-    if (!ss.status.ok()) {
-        out.status = ss.status;
+    RunSources rs = buildSources(d);
+    if (!rs.status.ok()) {
+        out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf);
-    armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
-    Status rs = sim.restoreCheckpoint(entry.blob, *ss.source);
-    if (!rs.ok()) {
-        // The failed restore half-wrote the simulator and the source;
+    Simulator sim(d.cfg, rs.pf, d.cores);
+    armDeadline(sim, ctx.opts.runTimeoutSeconds);
+    Status restored = sim.restoreCheckpoint(entry.blob, rs.sources);
+    if (!restored.ok()) {
+        // The failed restore half-wrote the simulator and the sources;
         // both are abandoned here, never run.
         if (ctx.opts.ckptPolicy == ckpt::CkptPolicy::Strict) {
-            out.status = rs.withContext(
+            out.status = restored.withContext(
                 logFormat(runLabel(d), ": warm checkpoint restore"));
             return out;
         }
-        return coldFallback("warm checkpoint restore failed", rs);
+        return coldFallback("warm checkpoint restore failed", restored);
     }
     out.warmForked = true;
     if (ctx.warmForks)
@@ -353,9 +362,9 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
     if (ctx.telemetry)
         ctx.telemetry->emitLive("run_state",
                                 liveRunStateJson(d, "warm-forked"));
-    StatusOr<SimResults> r = sim.runMeasure(*ss.source, d.scale.measure);
+    StatusOr<SimResults> r = sim.runMeasure(rs.sources, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim.core(),
+        out.status = timeoutContext(r.status(), sim,
                                     ctx.opts.runTimeoutSeconds)
                          .withContext(runLabel(d));
         return out;
@@ -365,66 +374,10 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
 }
 
 RunResult
-executeSingle(const RunDesc &d, const ExecContext &ctx)
-{
-    if (ctx.warm)
-        return executeWarmSingle(d, ctx);
-    return executeColdSingle(d, ctx);
-}
-
-/** CMP path: per-core workload instances with seeds derived from the
- * descriptor seed, as runCmp() does serially. Warm reuse is a
- * single-core feature; CMP descriptors always run cold. */
-RunResult
-executeCmp(const RunDesc &d, const ExecContext &ctx)
-{
-    RunResult out;
-    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
-    std::vector<TraceSource *> sources;
-    for (unsigned i = 0; i < d.cores; ++i) {
-        const std::uint64_t seed = d.seed ? d.seed + i : 1000 + i;
-        StatusOr<std::unique_ptr<SyntheticWorkload>> src =
-            tryMakeWorkload(d.workload, seed);
-        if (!src.ok()) {
-            out.status = src.status().withContext(runLabel(d));
-            return out;
-        }
-        owned.push_back(src.take());
-        sources.push_back(owned.back().get());
-    }
-
-    {
-        StatusOr<std::unique_ptr<Prefetcher>> probe =
-            tryCreatePrefetcher(d.pf);
-        if (!probe.ok()) {
-            out.status = probe.status().withContext(runLabel(d));
-            return out;
-        }
-    }
-
-    CmpSystem sys(d.cfg, d.pf, d.cores);
-    for (unsigned i = 0; i < d.cores; ++i)
-        armDeadline(sys.core(i), ctx.opts.runTimeoutSeconds);
-    StatusOr<CmpResults> r =
-        sys.tryRun(sources, d.scale.warm, d.scale.measure);
-    if (!r.ok()) {
-        Status s = r.status();
-        for (unsigned i = 0; i < d.cores; ++i)
-            s = timeoutContext(std::move(s), sys.core(i),
-                               ctx.opts.runTimeoutSeconds);
-        out.status = s.withContext(runLabel(d));
-        return out;
-    }
-
-    out.results = foldCmpResults(r.take());
-    return out;
-}
-
-RunResult
 executeRunCtx(const RunDesc &d, const ExecContext &ctx)
 {
     try {
-        return d.cores > 1 ? executeCmp(d, ctx) : executeSingle(d, ctx);
+        return ctx.warm ? executeWarm(d, ctx) : executeCold(d, ctx);
     } catch (const std::exception &e) {
         RunResult out;
         out.status = Status(StatusCode::Corruption,

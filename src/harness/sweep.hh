@@ -7,8 +7,8 @@
  *
  *  - determinism: each run's SimResults are a pure function of its
  *    descriptor, so a sweep is bit-identical at jobs=1 and jobs=N;
- *  - isolation: each run builds its own Simulator/CmpSystem and trace
- *    source; a faulted run (watchdog stall, bad descriptor) yields a
+ *  - isolation: each run builds its own Simulator and trace sources
+ *    (one per core); a faulted run (watchdog stall, bad descriptor) yields a
  *    non-OK per-run Status without aborting or perturbing the rest of
  *    the sweep;
  *  - ordering: results[i] always corresponds to descs[i], regardless
@@ -17,9 +17,9 @@
  * Durability (SweepOptions, see DESIGN.md and README "Checkpoint &
  * resume"):
  *
- *  - warm-state reuse: single-core descriptors sharing a warm
- *    fingerprint (same workload/config/prefetcher/warm window) build
- *    one warm checkpoint and fork every measurement from it; forked
+ *  - warm-state reuse: descriptors sharing a warm fingerprint (same
+ *    workload/config/prefetcher/core count/warm window), single-core
+ *    and CMP alike, build one warm checkpoint and fork every measurement from it; forked
  *    results are bit-identical to cold runs (golden-pinned);
  *  - journal: finished runs append one CRC'd JSON line keyed by the
  *    descriptor fingerprint, so a killed sweep resumes with only the
@@ -184,8 +184,8 @@ struct SweepStats
 /**
  * Execute one descriptor in isolation. Bad workload / prefetcher
  * names, watchdog stalls and uncaught exceptions come back as the
- * Status; the simulation itself runs exactly as the serial
- * runOnce()/runCmp() paths would.
+ * Status; the simulation itself runs exactly as a serial
+ * Simulator::tryRun() over the same per-core sources would.
  */
 RunResult executeRun(const RunDesc &d);
 

@@ -8,7 +8,8 @@
  * aggregates the stable surface:
  *
  *   - SimConfig / PrefetcherParams   configuration
- *   - Simulator / CmpSystem          single-core and CMP front doors
+ *   - Simulator                      the system front door, one class
+ *                                    for one core or a CMP
  *   - SimResults                     the bit-exact result record
  *   - configFingerprint()            checkpoint identity hashing
  *
@@ -29,7 +30,6 @@
 #define EBCP_SIM_API_HH
 
 #include "sim/ckpt_io.hh"
-#include "sim/cmp_system.hh"
 #include "sim/prefetcher_factory.hh"
 #include "sim/results.hh"
 #include "sim/sim_config.hh"

@@ -1,9 +1,11 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
 #include "ckpt/checkpoint.hh"
+#include "ckpt/containers.hh"
 #include "sim/ckpt_io.hh"
 #include "sim/watchdog.hh"
 #include "util/logging.hh"
@@ -12,12 +14,46 @@
 namespace ebcp
 {
 
-Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf)
+namespace
+{
+
+/** Mean instructions a core runs per CMP scheduling turn. Small
+ * quanta interleave the cores' misses at near-single-miss
+ * granularity, as concurrent execution does. */
+constexpr std::uint32_t kInterleaveQuantum = 100;
+
+} // namespace
+
+std::uint64_t
+coreSeed(std::uint64_t seed, unsigned core, unsigned cores)
+{
+    if (cores == 1)
+        return seed;
+    return (seed ? seed : 1000) + core;
+}
+
+Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
+                     unsigned cores)
     : cfg_(cfg), pf_(pf), mem_(cfg.mem), prefetcher_(createPrefetcher(pf))
 {
+    fatal_if(cores == 0, "a system needs at least one core");
     l2side_ = std::make_unique<L2Subsystem>(cfg_, mem_, *prefetcher_);
-    hier_ = std::make_unique<Hierarchy>(cfg_, *l2side_, 0);
-    core_ = std::make_unique<CoreModel>(cfg_.core, *hier_);
+    for (unsigned i = 0; i < cores; ++i) {
+        ports_.push_back(std::make_unique<Hierarchy>(cfg_, *l2side_, i));
+        cores_.push_back(
+            std::make_unique<CoreModel>(cfg_.core, *ports_[i]));
+        cores_[i]->setWatchdog(cfg_.watchdogTicks);
+    }
+    // Each core names its own group "core"; re-register the groups
+    // under their dump keys so several cores stay apart in dumps.
+    for (unsigned i = 0; i < cores; ++i) {
+        const StatGroup &own = cores_[i]->stats();
+        coreStats_.push_back(std::make_unique<StatGroup>(coreName(i)));
+        for (StatBase *s : own.stats())
+            coreStats_[i]->add(*s);
+        for (StatGroup *c : own.children())
+            coreStats_[i]->addChild(*c);
+    }
 
     // The EBCP's table entries can span multiple transfer units at
     // high degree; charge its table traffic accordingly.
@@ -26,25 +62,46 @@ Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf)
             e->table().config().entryTransferBytes());
 }
 
-Status
-Simulator::stallStatus()
+std::string
+Simulator::coreName(unsigned i) const
 {
-    WatchdogContext ctx;
-    ctx.tracePolicy = tracePolicyName_;
-    std::ostringstream json;
-    JsonWriter w(json);
-    progressDiagnosticJson(w, "", *core_, *l2side_, mem_, *prefetcher_,
-                           ctx);
-    lastDiagnosticJson_ = json.str();
-    return stalledError(progressDiagnostic("", *core_, *l2side_, mem_,
-                                           *prefetcher_, ctx));
+    return cores() == 1 ? std::string("core") : logFormat("core", i);
+}
+
+void
+Simulator::checkSources(const SourceList &src) const
+{
+    fatal_if(src.size() != cores(), "the system has ", cores(),
+             " cores but was given ", src.size(), " trace sources");
+}
+
+Status
+Simulator::progressStatus(unsigned i)
+{
+    CoreModel &core = *cores_[i];
+    if (core.watchdogTripped()) {
+        WatchdogContext ctx;
+        ctx.tracePolicy = tracePolicyName_;
+        const std::string label = cores() == 1 ? "" : coreName(i);
+        std::ostringstream json;
+        JsonWriter w(json);
+        progressDiagnosticJson(w, label, core, *l2side_, mem_,
+                               *prefetcher_, ctx);
+        lastDiagnosticJson_ = json.str();
+        return stalledError(progressDiagnostic(label, core, *l2side_, mem_,
+                                               *prefetcher_, ctx));
+    }
+    if (auditor_ && auditor_->abortRequested())
+        return auditor_->toStatus();
+    return Status();
 }
 
 Status
 Simulator::configureAudit(const AuditOptions &opts)
 {
     if (!opts.enabled()) {
-        core_->setAuditor(nullptr);
+        for (auto &c : cores_)
+            c->setAuditor(nullptr);
         l2side_->setAuditor(nullptr);
         auditor_.reset();
         return Status();
@@ -56,7 +113,9 @@ Simulator::configureAudit(const AuditOptions &opts)
 #else
     auditor_ = std::make_unique<Auditor>(opts);
     AuditRegistry &reg = auditor_->registry();
-    reg.add("core", [this](AuditContext &c) { core_->audit(c); });
+    for (unsigned i = 0; i < cores(); ++i)
+        reg.add(coreName(i),
+                [this, i](AuditContext &c) { cores_[i]->audit(c); });
     reg.add("l2", [this](AuditContext &c) { l2side_->l2().audit(c); });
     reg.add("l2.prefetch_buffer", [this](AuditContext &c) {
         l2side_->prefetchBuffer().audit(c);
@@ -97,14 +156,86 @@ Simulator::configureAudit(const AuditOptions &opts)
                     mem_.maxLowPriorityReadLatency());
         });
     }
-    core_->setAuditor(auditor_.get());
+    for (auto &c : cores_)
+        c->setAuditor(auditor_.get());
     l2side_->setAuditor(auditor_.get());
     return Status();
 #endif
 }
 
+Status
+Simulator::setSampler(IntervalSampler *sampler)
+{
+    if (sampler && cores() > 1)
+        return invalidArgError(
+            "interval sampling is single-core only: exact sample "
+            "boundaries would cut the ", cores(),
+            " cores' interleaving turns");
+    sampler_ = sampler;
+    return Status();
+}
+
+Status
+Simulator::runPhase(SourceList src, std::uint64_t insts)
+{
+    if (cores() == 1) {
+        cores_[0]->run(src[0], insts);
+        return progressStatus(0);
+    }
+
+    // Round-robin in small *randomized* quanta. Each core has its own
+    // timeline; the shared structures (L2, buses, prefetcher) see the
+    // cores' requests approximately interleaved. The jittered quantum
+    // matters: a fixed rotation would interleave the miss streams at
+    // deterministic distances, which a distance-keyed predictor could
+    // exploit -- real concurrent cores interleave stochastically.
+    std::uint64_t remaining = insts * cores();
+    std::vector<std::uint64_t> done(cores(), 0);
+    while (remaining > 0) {
+        for (unsigned i = 0; i < cores(); ++i) {
+            const std::uint64_t turn =
+                kInterleaveQuantum / 2 + rng_.below(kInterleaveQuantum);
+            const std::uint64_t chunk = std::min(turn, insts - done[i]);
+            if (chunk == 0)
+                continue;
+            cores_[i]->run(src[i], chunk);
+            if (Status s = progressStatus(i); !s.ok())
+                return s;
+            done[i] += chunk;
+            remaining -= chunk;
+        }
+    }
+    return Status();
+}
+
+Status
+Simulator::runSampled(TraceSource &src, std::uint64_t insts)
+{
+    // Drive the window in interval-sized chunks so the sampler sees
+    // exact boundaries. Bit-exact vs one run() call: the core's loop
+    // state lives entirely in its members.
+    CoreModel &core = *cores_[0];
+    const std::uint64_t interval = sampler_->interval();
+    std::uint64_t done = 0;
+    while (done < insts) {
+        const std::uint64_t chunk =
+            std::min(interval - done % interval, insts - done);
+        core.run(src, chunk);
+        if (Status s = progressStatus(0); !s.ok())
+            return s;
+        const std::uint64_t got = core.measuredInsts();
+        if (got == done)
+            break; // trace exhausted
+        done = got;
+        sampler_->sample(done);
+        if (traceLog_)
+            sampleCounterTracks();
+    }
+    return Status();
+}
+
 StatusOr<SimResults>
-Simulator::tryRun(TraceSource &src, std::uint64_t warm_insts,
+Simulator::tryRun(SourceList src, std::uint64_t warm_insts,
                   std::uint64_t measure_insts)
 {
     if (Status s = runWarm(src, warm_insts); !s.ok())
@@ -113,63 +244,37 @@ Simulator::tryRun(TraceSource &src, std::uint64_t warm_insts,
 }
 
 Status
-Simulator::runWarm(TraceSource &src, std::uint64_t warm_insts)
+Simulator::runWarm(SourceList src, std::uint64_t warm_insts)
 {
-    core_->setWatchdog(cfg_.watchdogTicks);
-
-    core_->run(src, warm_insts);
-    if (core_->watchdogTripped())
-        return stallStatus();
-    if (auditor_ && auditor_->abortRequested())
-        return auditor_->toStatus();
-    return Status();
+    checkSources(src);
+    return runPhase(src, warm_insts);
 }
 
 StatusOr<SimResults>
-Simulator::runMeasure(TraceSource &src, std::uint64_t measure_insts)
+Simulator::runMeasure(SourceList src, std::uint64_t measure_insts)
 {
-    core_->setWatchdog(cfg_.watchdogTicks);
-
-    core_->beginMeasurement();
-    hier_->beginMeasurement();
+    checkSources(src);
+    for (unsigned i = 0; i < cores(); ++i) {
+        cores_[i]->beginMeasurement();
+        ports_[i]->beginMeasurement();
+    }
     l2side_->beginMeasurement();
     mem_.stats().resetAll();
     readBusyMark_ = mem_.readChannel().busyTicks();
     writeBusyMark_ = mem_.writeChannel().busyTicks();
 
-    if (!sampler_) {
-        core_->run(src, measure_insts);
-        if (core_->watchdogTripped())
-            return stallStatus();
-        if (auditor_ && auditor_->abortRequested())
-            return auditor_->toStatus();
-    } else {
-        // Drive the window in interval-sized chunks so the sampler
-        // sees exact boundaries. Bit-exact vs one run() call: the
-        // core's loop state lives entirely in its members.
-        const std::uint64_t interval = sampler_->interval();
-        std::uint64_t done = 0;
-        while (done < measure_insts) {
-            const std::uint64_t chunk = std::min(
-                interval - done % interval, measure_insts - done);
-            core_->run(src, chunk);
-            if (core_->watchdogTripped())
-                return stallStatus();
-            if (auditor_ && auditor_->abortRequested())
-                return auditor_->toStatus();
-            const std::uint64_t got = core_->measuredInsts();
-            if (got == done)
-                break; // trace exhausted
-            done = got;
-            sampler_->sample(done);
-            if (traceLog_)
-                sampleCounterTracks();
-        }
-    }
+    if (Status s = sampler_ ? runSampled(src[0], measure_insts)
+                            : runPhase(src, measure_insts);
+        !s.ok())
+        return s;
+
     // One final pass so every configured run ends with at least one
     // full audit, whatever the cadence saw during the window.
     if (auditor_) {
-        auditor_->runNow(core_->now());
+        Tick now = 0;
+        for (const auto &c : cores_)
+            now = std::max(now, c->now());
+        auditor_->runNow(now);
         if (auditor_->abortRequested())
             return auditor_->toStatus();
     }
@@ -177,7 +282,7 @@ Simulator::runMeasure(TraceSource &src, std::uint64_t measure_insts)
 }
 
 SimResults
-Simulator::run(TraceSource &src, std::uint64_t warm_insts,
+Simulator::run(SourceList src, std::uint64_t warm_insts,
                std::uint64_t measure_insts)
 {
     StatusOr<SimResults> r = tryRun(src, warm_insts, measure_insts);
@@ -188,7 +293,7 @@ Simulator::run(TraceSource &src, std::uint64_t warm_insts,
 void
 Simulator::sampleCounterTracks()
 {
-    const Tick now = core_->now();
+    const Tick now = cores_[0]->now();
     traceLog_->counterSample(
         "mshr_occupancy", now,
         static_cast<double>(l2side_->mshrs().occupancy()));
@@ -218,9 +323,13 @@ SimResults
 Simulator::collect()
 {
     SimResults r;
-    r.insts = core_->measuredInsts();
-    r.cycles = core_->measuredCycles();
-    r.cpi = core_->cpi();
+    double cycle_sum = 0.0;
+    for (const auto &c : cores_) {
+        r.insts += c->measuredInsts();
+        r.cycles = std::max<std::uint64_t>(r.cycles, c->measuredCycles());
+        cycle_sum += static_cast<double>(c->measuredCycles());
+    }
+    r.cpi = r.insts ? cycle_sum / static_cast<double>(r.insts) : 0.0;
 
     r.epochs = l2side_->epochTracker().epochs();
     const double per1k =
@@ -267,37 +376,55 @@ Simulator::collect()
 std::uint64_t
 Simulator::configFingerprint() const
 {
-    return ebcp::configFingerprint(cfg_, pf_, 1);
+    return ebcp::configFingerprint(cfg_, pf_, cores());
+}
+
+Status
+Simulator::ckptSections(SourceList src, const SectionVisitor &visit)
+{
+    checkSources(src);
+    Status s;
+    auto section = [&](const std::string &name, const SectionFn &fn) {
+        if (s.ok())
+            s = visit(name, fn);
+    };
+    for (unsigned i = 0; i < cores(); ++i) {
+        section(logFormat("core", i),
+                [this, i](ckpt::Archiver &ar) { cores_[i]->ckpt(ar); });
+        section(logFormat("l1.", i),
+                [this, i](ckpt::Archiver &ar) { ports_[i]->ckpt(ar); });
+        section(logFormat("trace", i),
+                [&src, i](ckpt::Archiver &ar) { src[i].ckpt(ar); });
+    }
+    section("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
+    section("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
+    section("prefetcher",
+            [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
+    section("system", [this](ckpt::Archiver &ar) {
+        ar.u64(readBusyMark_);
+        ar.u64(writeBusyMark_);
+        ckpt::ckptPcg32(ar, rng_);
+    });
+    return s;
 }
 
 StatusOr<std::string>
-Simulator::serializeCheckpoint(TraceSource &src)
+Simulator::serializeCheckpoint(SourceList src)
 {
     EBCP_PROFILE_SCOPE(Ckpt);
     ckpt::CheckpointWriter w(configFingerprint());
-    Status s;
-    auto add = [&](const char *name, auto &&fill) {
-        if (s.ok())
-            s = w.section(name, fill);
-    };
-    add("core", [this](ckpt::Archiver &ar) { core_->ckpt(ar); });
-    add("l1", [this](ckpt::Archiver &ar) { hier_->ckpt(ar); });
-    add("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
-    add("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
-    add("prefetcher",
-        [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
-    add("trace", [&src](ckpt::Archiver &ar) { src.ckpt(ar); });
-    add("simulator", [this](ckpt::Archiver &ar) {
-        ar.u64(readBusyMark_);
-        ar.u64(writeBusyMark_);
-    });
-    if (!s.ok())
+    if (Status s = ckptSections(src,
+                                [&w](const std::string &name,
+                                     const SectionFn &fill) {
+                                    return w.section(name, fill);
+                                });
+        !s.ok())
         return s;
     return w.serialize();
 }
 
 Status
-Simulator::saveCheckpoint(const std::string &path, TraceSource &src)
+Simulator::saveCheckpoint(const std::string &path, SourceList src)
 {
     StatusOr<std::string> blob = serializeCheckpoint(src);
     if (!blob.ok())
@@ -306,7 +433,7 @@ Simulator::saveCheckpoint(const std::string &path, TraceSource &src)
 }
 
 Status
-Simulator::restoreCheckpoint(const std::string &buffer, TraceSource &src)
+Simulator::restoreCheckpoint(const std::string &buffer, SourceList src)
 {
     EBCP_PROFILE_SCOPE(Ckpt);
     StatusOr<ckpt::CheckpointReader> reader =
@@ -314,27 +441,14 @@ Simulator::restoreCheckpoint(const std::string &buffer, TraceSource &src)
     if (!reader.ok())
         return reader.status();
     const ckpt::CheckpointReader &r = reader.value();
-    Status s;
-    auto load = [&](const char *name, auto &&fn) {
-        if (s.ok())
-            s = r.section(name, fn);
-    };
-    load("core", [this](ckpt::Archiver &ar) { core_->ckpt(ar); });
-    load("l1", [this](ckpt::Archiver &ar) { hier_->ckpt(ar); });
-    load("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
-    load("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
-    load("prefetcher",
-         [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
-    load("trace", [&src](ckpt::Archiver &ar) { src.ckpt(ar); });
-    load("simulator", [this](ckpt::Archiver &ar) {
-        ar.u64(readBusyMark_);
-        ar.u64(writeBusyMark_);
+    return ckptSections(src, [&r](const std::string &name,
+                                  const SectionFn &load) {
+        return r.section(name, load);
     });
-    return s;
 }
 
 Status
-Simulator::restoreCheckpointFile(const std::string &path, TraceSource &src)
+Simulator::restoreCheckpointFile(const std::string &path, SourceList src)
 {
     StatusOr<std::string> data = ckpt::readFile(path);
     if (!data.ok())
@@ -347,8 +461,10 @@ void
 Simulator::dumpStats(std::ostream &os)
 {
     EBCP_PROFILE_SCOPE(Stats);
-    core_->stats().dump(os);
-    hier_->stats().dump(os);
+    for (unsigned i = 0; i < cores(); ++i) {
+        coreStats_[i]->dump(os);
+        ports_[i]->stats().dump(os);
+    }
     l2side_->stats().dump(os);
     mem_.stats().dump(os);
 }
@@ -358,8 +474,14 @@ Simulator::dumpStatsJson(JsonWriter &w)
 {
     EBCP_PROFILE_SCOPE(Stats);
     w.beginObject();
-    for (StatGroup *g : {&core_->stats(), &hier_->stats(),
-                         &l2side_->stats(), &mem_.stats()}) {
+    std::vector<StatGroup *> groups;
+    for (unsigned i = 0; i < cores(); ++i) {
+        groups.push_back(coreStats_[i].get());
+        groups.push_back(&ports_[i]->stats());
+    }
+    groups.push_back(&l2side_->stats());
+    groups.push_back(&mem_.stats());
+    for (StatGroup *g : groups) {
         w.key(g->name());
         g->dumpJson(w);
     }

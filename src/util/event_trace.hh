@@ -121,7 +121,7 @@ class TraceSink
 
 /**
  * The per-run collection of sinks plus the Chrome trace_event
- * exporter. One TraceLog per Simulator/CmpSystem; never shared across
+ * exporter. One TraceLog per Simulator; never shared across
  * sweep threads.
  */
 class TraceLog

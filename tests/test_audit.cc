@@ -26,7 +26,6 @@
 #include "epoch/epoch_tracker.hh"
 #include "mem/channel.hh"
 #include "mem/main_memory.hh"
-#include "sim/cmp_system.hh"
 #include "sim/simulator.hh"
 #include "trace/fault_injection.hh"
 #include "trace/workloads.hh"
@@ -548,13 +547,13 @@ TEST(SimulatorAudit, OffCadenceDetachesTheAuditor)
     EXPECT_EQ(sim.auditSummaryJson(), "");
 }
 
-TEST(SimulatorAudit, CmpSystemAuditsAllCores)
+TEST(SimulatorAudit, CmpAuditsAllCores)
 {
     SimConfig cfg;
     PrefetcherParams pf;
     pf.name = "ebcp";
     pf.ebcp.numCoreStates = 2;
-    CmpSystem sys(cfg, pf, 2);
+    Simulator sys(cfg, pf, 2);
     ASSERT_TRUE(sys.configureAudit(everyTicks(5000)).ok());
 
     auto s0 = makeWorkload("database", 1);
@@ -578,7 +577,7 @@ TEST(SimulatorAudit, CmpAbortPolicyStopsTheRun)
     SimConfig cfg;
     PrefetcherParams pf;
     pf.name = "null";
-    CmpSystem sys(cfg, pf, 2);
+    Simulator sys(cfg, pf, 2);
     ASSERT_TRUE(
         sys.configureAudit(everyTicks(100, AuditPolicy::Abort)).ok());
     sys.core(0).corruptForTest();
@@ -586,7 +585,7 @@ TEST(SimulatorAudit, CmpAbortPolicyStopsTheRun)
     auto s0 = makeWorkload("database", 1);
     auto s1 = makeWorkload("database", 2);
     std::vector<TraceSource *> sources{s0.get(), s1.get()};
-    StatusOr<CmpResults> r = sys.tryRun(sources, 5000, 10000);
+    StatusOr<SimResults> r = sys.tryRun(sources, 5000, 10000);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::InvariantViolation);
 }

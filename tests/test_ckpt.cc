@@ -17,7 +17,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "ckpt/archiver.hh"
 #include "ckpt/checkpoint.hh"
@@ -70,6 +72,16 @@ struct WarmRun
 {
     std::string blob;
     SimResults coldResults;
+};
+
+/** Two database instances, seeded as a 2-core run seeds its cores. */
+struct TwoCoreSources
+{
+    std::unique_ptr<SyntheticWorkload> a =
+        makeWorkload("database", coreSeed(0, 0, 2));
+    std::unique_ptr<SyntheticWorkload> b =
+        makeWorkload("database", coreSeed(0, 1, 2));
+    std::vector<TraceSource *> list{a.get(), b.get()};
 };
 
 WarmRun
@@ -413,6 +425,42 @@ TEST(CkptRoundtrip, RestoredRunIsBitIdenticalToUninterrupted)
         ASSERT_TRUE(r.ok()) << r.status().toString();
         expectBitIdentical(r.value(), warm.coldResults, pf_name);
     }
+
+    // The same round trip on a 2-core system: per-core sections, the
+    // shared side and the interleave RNG must all come back.
+    for (const char *pf_name : {"null", "ebcp"}) {
+        SCOPED_TRACE(std::string("2-core ") + pf_name);
+        SimConfig cfg;
+        PrefetcherParams pf;
+        pf.name = pf_name;
+        pf.ebcp.numCoreStates = 2;
+
+        std::string blob;
+        SimResults cold;
+        {
+            Simulator sim(cfg, pf, 2);
+            TwoCoreSources src;
+            ASSERT_TRUE(sim.runWarm(src.list, kWarm).ok());
+            StatusOr<std::string> b = sim.serializeCheckpoint(src.list);
+            ASSERT_TRUE(b.ok()) << b.status().toString();
+            blob = b.take();
+            StatusOr<SimResults> r = sim.runMeasure(src.list, kMeasure);
+            ASSERT_TRUE(r.ok()) << r.status().toString();
+            cold = r.take();
+        }
+        Simulator sim(cfg, pf, 2);
+        TwoCoreSources src;
+        ASSERT_TRUE(sim.restoreCheckpoint(blob, src.list).ok());
+        StatusOr<SimResults> r = sim.runMeasure(src.list, kMeasure);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        expectBitIdentical(r.value(), cold, pf_name);
+
+        // The core count is part of the configuration identity.
+        Simulator one(cfg, pf);
+        auto one_src = makeWorkload("database");
+        EXPECT_EQ(one.restoreCheckpoint(blob, *one_src).code(),
+                  StatusCode::InvalidArgument);
+    }
 }
 
 TEST(CkptRoundtrip, FileRoundTripThroughAtomicWrite)
@@ -524,6 +572,56 @@ TEST(CkptRoundtrip, TraceCursorResumesMidStream)
 // ---------------------------------------------------------------------
 // Corrupted-checkpoint corpus.
 // ---------------------------------------------------------------------
+
+TEST(CkptCorpus, ForgedRobCursorIsCodedCorruption)
+{
+    // A ring cursor indexes its ring on the very next instruction, so
+    // one at or past the ring size must fail the load, not read wild.
+    // Forge it in a real core payload: the ROB cursor follows the
+    // register scoreboard and the four fixed-size rings (each a u64
+    // count plus one u64 per entry).
+    SimConfig cfg;
+    PrefetcherParams pf;
+    pf.name = "null";
+    Simulator sim(cfg, pf);
+    auto src = makeWorkload("database");
+    ASSERT_TRUE(sim.runWarm(*src, 10'000).ok());
+    std::string payload;
+    {
+        ckpt::Archiver ar = ckpt::Archiver::saver(payload);
+        sim.core().ckpt(ar);
+        ASSERT_TRUE(ar.ok()) << ar.status().toString();
+    }
+
+    const CoreConfig &cc = cfg.core;
+    std::size_t at = 8 * std::size_t{NumArchRegs};
+    for (unsigned n : {cc.robEntries, cc.issueQueueEntries,
+                       cc.storeBufferEntries, cc.loadBufferEntries})
+        at += 8 + 8 * std::size_t{n};
+    ASSERT_LE(at + 8, payload.size());
+    auto cursorAt = [&] {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = v << 8 | static_cast<unsigned char>(payload[at + i]);
+        return v;
+    };
+    ASSERT_LT(cursorAt(), cc.robEntries) << "not the ROB cursor";
+
+    for (std::uint64_t forged :
+         {std::uint64_t{cc.robEntries}, std::uint64_t{1} << 62}) {
+        for (int i = 0; i < 8; ++i)
+            payload[at + i] = static_cast<char>(forged >> (8 * i));
+        Simulator fresh(cfg, pf);
+        ckpt::Archiver ar =
+            ckpt::Archiver::loader(payload.data(), payload.size());
+        fresh.core().ckpt(ar);
+        ASSERT_FALSE(ar.ok()) << forged;
+        EXPECT_EQ(ar.status().code(), StatusCode::Corruption);
+        EXPECT_NE(ar.status().message().find("ROB cursor"),
+                  std::string::npos)
+            << ar.status().message();
+    }
+}
 
 TEST(CkptCorpus, EveryFaultKindYieldsCodedStatus)
 {

@@ -60,7 +60,7 @@ runObserved(const std::string &workload, const std::string &pf_name,
     Simulator sim(cfg, pf);
     sim.attachTraceLog(log);
     IntervalSampler sampler(sim.l2side().stats(), 50'000);
-    sim.setSampler(&sampler);
+    EXPECT_TRUE(sim.setSampler(&sampler).ok());
     auto src = makeWorkload(workload);
     return sim.run(*src, kWarm, kMeasure);
 }
@@ -250,7 +250,7 @@ TEST(IntervalSampler, SimulatorSamplesAtExactBoundaries)
     pf.name = "ebcp";
     Simulator sim(cfg, pf);
     IntervalSampler sampler(sim.l2side().stats(), 60'000);
-    sim.setSampler(&sampler);
+    ASSERT_TRUE(sim.setSampler(&sampler).ok());
     auto src = makeWorkload("database");
     sim.run(*src, kWarm, kMeasure);
 

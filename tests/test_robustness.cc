@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/cmp_system.hh"
 #include "sim/simulator.hh"
 #include "trace/fault_injection.hh"
 #include "trace/workloads.hh"
@@ -223,14 +222,14 @@ TEST(Watchdog, TripsInCmpModeNamingTheCore)
     std::vector<TraceSource *> sources;
     for (unsigned i = 0; i < 2; ++i) {
         StatusOr<std::unique_ptr<SyntheticWorkload>> w =
-            tryMakeWorkload("database", 1000 + i);
+            tryMakeWorkload("database", coreSeed(0, i, 2));
         ASSERT_TRUE(w.ok());
         owned.push_back(w.take());
         sources.push_back(owned.back().get());
     }
 
-    CmpSystem sys(cfg, pf, 2);
-    StatusOr<CmpResults> res = sys.tryRun(sources, kWarm, kMeasure);
+    Simulator sys(cfg, pf, 2);
+    StatusOr<SimResults> res = sys.tryRun(sources, kWarm, kMeasure);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status().code(), StatusCode::Stalled);
     const std::string &msg = res.status().message();

@@ -45,6 +45,26 @@ makeDesc(const std::string &workload, const std::string &pf,
     return d;
 }
 
+/**
+ * 2-core database pairs that share a warm fingerprint and differ only
+ * in the measurement window, so warm reuse forks both from one
+ * checkpoint.
+ */
+std::vector<RunDesc>
+cmpPairs()
+{
+    std::vector<RunDesc> descs;
+    for (const char *pf : {"null", "ebcp"}) {
+        RunDesc d = makeDesc("database", pf);
+        d.cores = 2;
+        d.pf.ebcp.numCoreStates = 2;
+        descs.push_back(d);
+        d.scale.measure = 2 * kMeasure;
+        descs.push_back(d);
+    }
+    return descs;
+}
+
 /** A mixed (workload x prefetcher) grid of >= 8 runs. */
 std::vector<RunDesc>
 mixedGrid()
@@ -94,8 +114,10 @@ parallelJobs()
 
 TEST(SweepDeterminism, BitIdenticalAcrossJobCounts)
 {
-    const std::vector<RunDesc> descs = mixedGrid();
+    std::vector<RunDesc> descs = mixedGrid();
     ASSERT_GE(descs.size(), 8u);
+    for (const RunDesc &d : cmpPairs())
+        descs.push_back(d);
 
     SweepRunner serial(1);
     SweepRunner parallel(parallelJobs());
@@ -263,7 +285,8 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
     // Pairs of runs differing only in the measurement window share a
     // warm fingerprint: with warmReuse each pair builds one warm
     // checkpoint and forks both measurements from it, and the results
-    // must be bit-identical to fully cold runs.
+    // must be bit-identical to fully cold runs, single-core and CMP
+    // alike.
     std::vector<RunDesc> descs;
     for (const char *w : {"database", "tpcw"}) {
         for (const char *pf : {"null", "ebcp"}) {
@@ -273,6 +296,8 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
             descs.push_back(d);
         }
     }
+    for (const RunDesc &d : cmpPairs())
+        descs.push_back(d);
 
     SweepRunner cold(parallelJobs());
     const std::vector<RunResult> a = cold.run(descs);
@@ -292,7 +317,7 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
     }
 
     const SweepStats &st = warm.stats();
-    EXPECT_EQ(st.warmBuilds, 4u); // one per (workload, pf) pair
+    EXPECT_EQ(st.warmBuilds, 6u); // one per (workload, pf, cores) pair
     EXPECT_EQ(st.warmForks, descs.size());
     EXPECT_EQ(st.coldFallbacks, 0u);
 }

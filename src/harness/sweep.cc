@@ -93,6 +93,23 @@ warmFingerprint(const RunDesc &d)
     return descHash(d, false);
 }
 
+std::vector<std::size_t>
+dispatchOrder(const std::vector<RunDesc> &descs)
+{
+    std::vector<std::uint64_t> cost(descs.size());
+    std::vector<std::size_t> order(descs.size());
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        cost[i] = descs[i].cores * (descs[i].scale.warm +
+                                    descs[i].scale.measure);
+        order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+    return order;
+}
+
 std::uint64_t
 retryBackoffMs(const RetryPolicy &policy, std::uint64_t run_key,
                unsigned attempt)
@@ -136,29 +153,33 @@ struct WarmEntry
     Status status;
 };
 
-class WarmCache
+/**
+ * The warm checkpoint each of @p pending forks from, indexed like
+ * @p descs: an entry of @p entries for every run whose warm
+ * fingerprint another pending run shares, null for the rest. Those
+ * run cold; a checkpoint that nothing else forks would only add a
+ * save, a restore and a cached blob to the run.
+ */
+std::vector<WarmEntry *>
+planWarmReuse(const std::vector<RunDesc> &descs,
+              const std::vector<std::size_t> &pending,
+              std::map<std::uint64_t, WarmEntry> &entries)
 {
-  public:
-    WarmEntry &
-    entry(std::uint64_t key)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::unique_ptr<WarmEntry> &slot = map_[key];
-        if (!slot)
-            slot = std::make_unique<WarmEntry>();
-        return *slot;
-    }
-
-  private:
-    std::mutex mu_;
-    std::map<std::uint64_t, std::unique_ptr<WarmEntry>> map_;
-};
+    std::vector<std::uint64_t> key(descs.size());
+    std::map<std::uint64_t, std::size_t> sharers;
+    for (std::size_t i : pending)
+        ++sharers[key[i] = warmFingerprint(descs[i])];
+    std::vector<WarmEntry *> warm(descs.size(), nullptr);
+    for (std::size_t i : pending)
+        if (sharers[key[i]] > 1)
+            warm[i] = &entries[key[i]];
+    return warm;
+}
 
 /** Per-sweep execution context threaded into every run. */
 struct ExecContext
 {
     SweepOptions opts;
-    WarmCache *warm = nullptr; //!< null = no warm reuse
     std::atomic<std::uint64_t> *warmBuilds = nullptr;
     std::atomic<std::uint64_t> *warmForks = nullptr;
     std::atomic<std::uint64_t> *coldFallbacks = nullptr;
@@ -282,12 +303,11 @@ executeCold(const RunDesc &d, const ExecContext &ctx)
     return out;
 }
 
-/** One run forking its measurement from the shared warm checkpoint;
- * degrades per CkptPolicy when the checkpoint is bad. */
+/** One run forking its measurement from the shared warm checkpoint
+ * @p entry; degrades per CkptPolicy when the checkpoint is bad. */
 RunResult
-executeWarm(const RunDesc &d, const ExecContext &ctx)
+executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
 {
-    WarmEntry &entry = ctx.warm->entry(warmFingerprint(d));
     std::call_once(entry.once, [&] {
         if (ctx.telemetry)
             ctx.telemetry->emitLive(
@@ -373,11 +393,12 @@ executeWarm(const RunDesc &d, const ExecContext &ctx)
     return out;
 }
 
+/** One run: forked from @p warm when given, otherwise cold. */
 RunResult
-executeRunCtx(const RunDesc &d, const ExecContext &ctx)
+executeRunCtx(const RunDesc &d, const ExecContext &ctx, WarmEntry *warm)
 {
     try {
-        return ctx.warm ? executeWarm(d, ctx) : executeCold(d, ctx);
+        return warm ? executeWarm(d, ctx, *warm) : executeCold(d, ctx);
     } catch (const std::exception &e) {
         RunResult out;
         out.status = Status(StatusCode::Corruption,
@@ -393,7 +414,7 @@ RunResult
 executeRun(const RunDesc &d)
 {
     ExecContext ctx;
-    return executeRunCtx(d, ctx);
+    return executeRunCtx(d, ctx, nullptr);
 }
 
 SweepRunner::SweepRunner(unsigned jobs, SweepOptions opts)
@@ -523,12 +544,21 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                 emitTerminal(i, results[i]);
     }
 
-    WarmCache warm;
+    // The plan covers only the pending runs: the order workers claim
+    // them in, and the warm checkpoint (if any) each one forks from.
+    std::vector<std::size_t> order;
+    for (std::size_t i : dispatchOrder(descs))
+        if (todo[i])
+            order.push_back(i);
+    std::map<std::uint64_t, WarmEntry> warmEntries;
+    const std::vector<WarmEntry *> warmOf =
+        opts_.warmReuse ? planWarmReuse(descs, order, warmEntries)
+                        : std::vector<WarmEntry *>(descs.size(), nullptr);
+
     std::atomic<std::uint64_t> retries{0}, backoffMs{0}, warmBuilds{0},
         warmForks{0}, coldFallbacks{0};
     ExecContext ctx;
     ctx.opts = opts_;
-    ctx.warm = opts_.warmReuse ? &warm : nullptr;
     ctx.warmBuilds = &warmBuilds;
     ctx.warmForks = &warmForks;
     ctx.coldFallbacks = &coldFallbacks;
@@ -547,7 +577,7 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                     "run_state",
                     liveRunStateJson(d, attempt > 1 ? "retrying"
                                                     : "running"));
-            out = executeRunCtx(d, ctx);
+            out = executeRunCtx(d, ctx, warmOf[i]);
             out.attempts = attempt;
             if (out.ok() || attempt >= max_attempts ||
                 !statusRetryable(out.status))
@@ -585,7 +615,7 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
     };
 
     const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, descs.size()));
+        std::min<std::size_t>(jobs_, order.size()));
 
     auto snapshotNow = [&](bool done) {
         MetricsSnapshot m;
@@ -662,23 +692,21 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
     }
 
     if (workers <= 1) {
-        for (std::size_t i = 0; i < descs.size(); ++i)
-            if (todo[i])
-                runOne(i);
+        for (std::size_t i : order)
+            runOne(i);
     } else {
-        // Work stealing off a shared index: workers claim the next
-        // unstarted descriptor and write results[i] in place, so the
+        // Each idle worker claims the next run of the plan's order,
+        // costliest first, and writes results[i] in place, so the
         // output order is the submission order no matter who runs
         // what.
         std::atomic<std::size_t> next{0};
         auto worker = [&]() {
             for (;;) {
-                const std::size_t i =
+                const std::size_t k =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= descs.size())
+                if (k >= order.size())
                     return;
-                if (todo[i])
-                    runOne(i);
+                runOne(order[k]);
             }
         };
         std::vector<std::thread> pool;

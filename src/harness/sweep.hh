@@ -12,15 +12,21 @@
  *    non-OK per-run Status without aborting or perturbing the rest of
  *    the sweep;
  *  - ordering: results[i] always corresponds to descs[i], regardless
- *    of which worker finished first.
+ *    of which worker finished first. Workers start the pending runs
+ *    costliest first (dispatchOrder()), which moves only the wall
+ *    clock: results, journal keys and the deterministic telemetry
+ *    records keep submission order.
  *
  * Durability (SweepOptions, see DESIGN.md and README "Checkpoint &
  * resume"):
  *
- *  - warm-state reuse: descriptors sharing a warm fingerprint (same
- *    workload/config/prefetcher/core count/warm window), single-core
- *    and CMP alike, build one warm checkpoint and fork every measurement from it; forked
- *    results are bit-identical to cold runs (golden-pinned);
+ *  - warm-state reuse: pending descriptors that share a warm
+ *    fingerprint (same workload/config/prefetcher/core count/warm
+ *    window), single-core and CMP alike, build one warm checkpoint
+ *    and fork every measurement from it; a descriptor no other
+ *    pending one shares runs cold, with no save, restore or cached
+ *    checkpoint. Forked results are bit-identical to cold runs
+ *    (golden-pinned);
  *  - journal: finished runs append one CRC'd JSON line keyed by the
  *    descriptor fingerprint, so a killed sweep resumes with only the
  *    unfinished descriptors and the merged results are bit-identical;
@@ -107,8 +113,10 @@ bool statusRetryable(const Status &s);
  * behaviour (no journal, no reuse, no retry, no timeout). */
 struct SweepOptions
 {
-    /** Build one warm checkpoint per warm fingerprint and fork the
-     * measurement of every matching single-core run from it. */
+    /** Build one warm checkpoint per warm fingerprint that two or
+     * more pending runs share, and fork each of their measurements
+     * from it. Every other run goes cold: forking a checkpoint no
+     * sibling reuses costs a save and a restore and saves nothing. */
     bool warmReuse = false;
 
     /** What a corrupt/skewed warm checkpoint does to the run. */
@@ -152,13 +160,21 @@ std::uint64_t descFingerprint(const RunDesc &d);
  * serves both. */
 std::uint64_t warmFingerprint(const RunDesc &d);
 
+/**
+ * The order SweepRunner starts runs in, as indices into @p descs:
+ * descending cores x (warm + measure), ties in submission order.
+ * Starting the costliest runs first keeps a long run from being
+ * claimed last and finishing alone while the other workers idle.
+ */
+std::vector<std::size_t> dispatchOrder(const std::vector<RunDesc> &descs);
+
 /** Aggregate accounting of one sweep execution. */
 struct SweepStats
 {
     std::size_t launched = 0;  //!< descriptors submitted
     std::size_t completed = 0; //!< runs that returned OK
     std::size_t failed = 0;    //!< runs that returned a non-OK Status
-    unsigned jobs = 1;         //!< worker threads used
+    unsigned jobs = 1;         //!< workers, capped at runs pending (min 1)
     double wallSeconds = 0.0;
 
     /** Instructions measured across successful runs (warm excluded). */

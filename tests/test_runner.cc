@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 #include "harness/journal.hh"
 #include "harness/options.hh"
@@ -45,6 +47,16 @@ makeDesc(const std::string &workload, const std::string &pf,
     return d;
 }
 
+/** @p d plus a sibling that differs only in the measurement window,
+ * so the two share a warm fingerprint. */
+void
+pushPair(std::vector<RunDesc> &descs, RunDesc d)
+{
+    descs.push_back(d);
+    d.scale.measure = 2 * kMeasure;
+    descs.push_back(d);
+}
+
 /**
  * 2-core database pairs that share a warm fingerprint and differ only
  * in the measurement window, so warm reuse forks both from one
@@ -58,9 +70,7 @@ cmpPairs()
         RunDesc d = makeDesc("database", pf);
         d.cores = 2;
         d.pf.ebcp.numCoreStates = 2;
-        descs.push_back(d);
-        d.scale.measure = 2 * kMeasure;
-        descs.push_back(d);
+        pushPair(descs, d);
     }
     return descs;
 }
@@ -97,6 +107,18 @@ expectBitIdentical(const SimResults &a, const SimResults &b,
     EXPECT_EQ(a.accuracy, b.accuracy) << what;
     EXPECT_EQ(a.readBusUtil, b.readBusUtil) << what;
     EXPECT_EQ(a.writeBusUtil, b.writeBusUtil) << what;
+}
+
+/** Runs @p descs cold at one worker: the reference every warm-reuse
+ * sweep must match bit for bit. */
+std::vector<RunResult>
+coldReference(const std::vector<RunDesc> &descs)
+{
+    SweepRunner cold(1);
+    std::vector<RunResult> want = cold.run(descs);
+    for (const RunResult &r : want)
+        EXPECT_TRUE(r.ok()) << r.status.toString();
+    return want;
 }
 
 unsigned
@@ -320,6 +342,165 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
     EXPECT_EQ(st.warmBuilds, 6u); // one per (workload, pf, cores) pair
     EXPECT_EQ(st.warmForks, descs.size());
     EXPECT_EQ(st.coldFallbacks, 0u);
+}
+
+TEST(SweepDeterminism, WarmReuseRunsUnsharedFingerprintsCold)
+{
+    // Every run of mixedGrid() has its own warm fingerprint, so no
+    // checkpoint would be forked twice: warm reuse builds none and
+    // runs each point cold.
+    const std::vector<RunDesc> descs = mixedGrid();
+    const std::vector<RunResult> want = coldReference(descs);
+
+    SweepOptions opts;
+    opts.warmReuse = true;
+    SweepRunner warm(parallelJobs(), opts);
+    const std::vector<RunResult> got = warm.run(descs);
+
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        ASSERT_TRUE(got[i].ok()) << got[i].status.toString();
+        EXPECT_FALSE(got[i].warmForked) << i;
+        EXPECT_FALSE(got[i].coldFallback) << i;
+        expectBitIdentical(got[i].results, want[i].results,
+                           runLabel(descs[i]));
+    }
+    EXPECT_EQ(warm.stats().warmBuilds, 0u);
+    EXPECT_EQ(warm.stats().warmForks, 0u);
+}
+
+TEST(SweepDeterminism, WarmReuseBuildsOnlySharedFingerprints)
+{
+    // Two single-core pairs and two CMP pairs share a fingerprint
+    // within each pair; the two singletons share it with nothing.
+    std::vector<RunDesc> descs;
+    pushPair(descs, makeDesc("database", "ebcp"));
+    pushPair(descs, makeDesc("tpcw", "null"));
+    for (const RunDesc &d : cmpPairs())
+        descs.push_back(d);
+    const std::size_t paired = descs.size();
+    ASSERT_EQ(paired, 8u);
+    descs.push_back(makeDesc("specjbb", "ebcp"));
+    descs.push_back(makeDesc("specjas", "null"));
+    const std::vector<RunResult> want = coldReference(descs);
+
+    SweepOptions opts;
+    opts.warmReuse = true;
+    SweepRunner warm(parallelJobs(), opts);
+    const std::vector<RunResult> got = warm.run(descs);
+
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        ASSERT_TRUE(got[i].ok()) << got[i].status.toString();
+        EXPECT_EQ(got[i].warmForked, i < paired) << i;
+        EXPECT_FALSE(got[i].coldFallback) << i;
+        expectBitIdentical(got[i].results, want[i].results,
+                           runLabel(descs[i]));
+    }
+    const SweepStats &st = warm.stats();
+    EXPECT_EQ(st.warmBuilds, 4u); // one per shared fingerprint
+    EXPECT_EQ(st.warmForks, paired);
+    EXPECT_EQ(st.coldFallbacks, 0u);
+}
+
+TEST(SweepDeterminism, ResumedPairMemberRunsColdOnSizedPool)
+{
+    // A pair shares a warm fingerprint, but once the journal holds
+    // one member the other has no pending sibling: the resumed sweep
+    // runs it cold, builds nothing, and starts one worker for it.
+    std::vector<RunDesc> descs;
+    pushPair(descs, makeDesc("database", "ebcp"));
+    const std::vector<RunResult> want = coldReference(descs);
+
+    const ebcp_test::TempFile journal("sweep_pair.jsonl");
+    const ebcp_test::TempFile metrics("sweep_pair.prom");
+    SweepOptions opts;
+    opts.warmReuse = true;
+    opts.journalPath = journal.path;
+    opts.metricsPath = metrics.path;
+    opts.heartbeatSeconds = 0.0;
+
+    SweepRunner interrupted(1, opts);
+    ASSERT_TRUE(interrupted.run({descs[0]})[0].ok());
+
+    SweepRunner resumed(4, opts);
+    const std::vector<RunResult> got = resumed.run(descs);
+    const SweepStats &st = resumed.stats();
+    EXPECT_EQ(st.resumed, 1u);
+    EXPECT_EQ(st.warmBuilds, 0u);
+    EXPECT_EQ(st.warmForks, 0u);
+    EXPECT_EQ(st.jobs, 1u);
+    EXPECT_TRUE(got[0].fromJournal);
+    ASSERT_TRUE(got[1].ok()) << got[1].status.toString();
+    EXPECT_FALSE(got[1].fromJournal);
+    EXPECT_FALSE(got[1].warmForked);
+    for (std::size_t i = 0; i < descs.size(); ++i)
+        expectBitIdentical(got[i].results, want[i].results,
+                           runLabel(descs[i]));
+
+    // The metrics snapshot counts the same one worker.
+    std::ifstream prom(metrics.path);
+    const std::string text((std::istreambuf_iterator<char>(prom)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("ebcp_sweep_jobs 1\n"), std::string::npos) << text;
+}
+
+TEST(SweepRunnerTest, DispatchOrderLongestFirstTiesInSubmission)
+{
+    // Cost is cores x (warm + measure); equal costs keep submission
+    // order whatever mix of cores and windows produced them.
+    auto desc = [](unsigned cores, std::uint64_t warm,
+                   std::uint64_t measure) {
+        RunDesc d = makeDesc("database", "null");
+        d.cores = cores;
+        d.scale.warm = warm;
+        d.scale.measure = measure;
+        return d;
+    };
+    const std::vector<RunDesc> descs{
+        desc(1, 10, 10), // 0: 20
+        desc(1, 30, 10), // 1: 40
+        desc(2, 10, 10), // 2: 40, ties with 1
+        desc(4, 10, 20), // 3: 120
+        desc(1, 0, 20),  // 4: 20, ties with 0
+        desc(1, 40, 0),  // 5: 40, ties with 1 and 2
+    };
+    const std::vector<std::size_t> want{3, 1, 2, 5, 0, 4};
+    EXPECT_EQ(dispatchOrder(descs), want);
+    EXPECT_TRUE(dispatchOrder({}).empty());
+}
+
+TEST(SweepDeterminism, CostliestRunsLastBitIdenticalAcrossJobCounts)
+{
+    // Submission order puts the cheapest runs first and the costliest
+    // last (a longer window, then a CMP run), so dispatch reorders
+    // the whole grid; results must still land in submission order,
+    // bit-identical at any job count.
+    std::vector<RunDesc> descs;
+    for (const char *w : {"tpcw", "specjbb", "specjas"}) {
+        RunDesc d = makeDesc(w, "ebcp");
+        d.scale.measure = kMeasure / 2;
+        descs.push_back(d);
+    }
+    RunDesc longer = makeDesc("database", "ebcp");
+    longer.scale.measure = 2 * kMeasure;
+    descs.push_back(longer);
+    RunDesc cmp = makeDesc("database", "ebcp");
+    cmp.cores = 2;
+    cmp.pf.ebcp.numCoreStates = 2;
+    cmp.scale.measure = 2 * kMeasure;
+    descs.push_back(cmp);
+    ASSERT_EQ(dispatchOrder(descs).front(), descs.size() - 1);
+
+    SweepRunner serial(1);
+    SweepRunner parallel(parallelJobs());
+    const std::vector<RunResult> a = serial.run(descs);
+    const std::vector<RunResult> b = parallel.run(descs);
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        ASSERT_TRUE(a[i].ok()) << a[i].status.toString();
+        ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
+        EXPECT_EQ(a[i].results.insts, descs[i].cores * descs[i].scale.measure)
+            << i;
+        expectBitIdentical(a[i].results, b[i].results, runLabel(descs[i]));
+    }
 }
 
 TEST(SweepRunnerTest, RetryAccountingIsDeterministic)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -74,6 +75,18 @@ deterministicLines(const std::string &path)
             det.push_back(line);
     }
     return det;
+}
+
+/** The det lines of one sweep of @p descs at @p jobs workers. */
+std::vector<std::string>
+sweepDeterministicLines(const std::vector<RunDesc> &descs, unsigned jobs,
+                        SweepOptions opts = {})
+{
+    TempFile tmp("telemetry_jobs" + std::to_string(jobs) + ".jsonl");
+    opts.telemetryPath = tmp.path;
+    SweepRunner runner(jobs, opts);
+    runner.run(descs);
+    return deterministicLines(tmp.path);
 }
 
 } // namespace
@@ -294,24 +307,41 @@ TEST(TelemetrySweep, TerminalRecordsFollowSubmissionOrder)
 
 TEST(TelemetryDeterminism, DetSubsequenceIdenticalAcrossJobCounts)
 {
-    TempFile tmp1("telemetry_jobs1.jsonl");
-    TempFile tmp4("telemetry_jobs4.jsonl");
     const std::vector<RunDesc> descs = makeDescriptors(8);
-
-    SweepOptions opts1;
-    opts1.telemetryPath = tmp1.path;
-    SweepRunner r1(1, opts1);
-    r1.run(descs);
-
-    SweepOptions opts4;
-    opts4.telemetryPath = tmp4.path;
-    SweepRunner r4(4, opts4);
-    r4.run(descs);
-
-    const std::vector<std::string> det1 = deterministicLines(tmp1.path);
-    const std::vector<std::string> det4 = deterministicLines(tmp4.path);
+    const std::vector<std::string> det1 = sweepDeterministicLines(descs, 1);
+    const std::vector<std::string> det4 = sweepDeterministicLines(descs, 4);
     ASSERT_FALSE(det1.empty());
     // Byte-identical: same records, same rendering, same det seqs.
+    EXPECT_EQ(det1, det4);
+}
+
+TEST(TelemetryDeterminism, DetSubsequenceIdenticalWithCostliestRunsLast)
+{
+    // Run costs rise along submission order and end with a 2-core
+    // pair sharing one warm checkpoint, so jobs=4 starts the last
+    // runs first and finishes far out of order; warm reuse forks the
+    // pair and runs every other point cold.
+    std::vector<RunDesc> descs = makeDescriptors(4);
+    std::reverse(descs.begin(), descs.end());
+    RunDesc cmp = descs.back();
+    cmp.cores = 2;
+    cmp.pf.ebcp.numCoreStates = 2;
+    descs.push_back(cmp);
+    cmp.scale.measure *= 2;
+    descs.push_back(cmp);
+    ASSERT_EQ(dispatchOrder(descs).front(), descs.size() - 1);
+
+    SweepOptions opts;
+    opts.warmReuse = true;
+    opts.heartbeatSeconds = 0.0;
+    const std::vector<std::string> det1 =
+        sweepDeterministicLines(descs, 1, opts);
+    const std::vector<std::string> det4 =
+        sweepDeterministicLines(descs, 4, opts);
+    ASSERT_EQ(det1.size(), descs.size() + 2); // + sweep_begin/_end
+    EXPECT_NE(det1.back().find("\"warm_builds\": 1, \"warm_forks\": 2"),
+              std::string::npos)
+        << det1.back();
     EXPECT_EQ(det1, det4);
 }
 

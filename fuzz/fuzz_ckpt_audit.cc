@@ -158,14 +158,13 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     }
 
     // Restore accepted the mutated state: hunt for invariant damage
-    // with a densely audited measurement window. In -DEBCP_AUDIT=OFF
-    // builds configureAudit() rejects any cadence, so fall back to an
-    // unaudited window (the run itself still shakes out crashes).
+    // with a densely audited measurement window.
     AuditOptions audit;
     audit.cadence = AuditCadence::EveryN;
     audit.everyTicks = 200;
     audit.policy = AuditPolicy::Collect;
-    (void)sim.configureAudit(audit);
+    if (!sim.configureAudit(audit).ok())
+        std::abort();
 
     StatusOr<SimResults> r = sim.runMeasure(*src, 2000);
     if (!r.ok() && r.status().message().empty())

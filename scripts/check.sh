@@ -1,44 +1,41 @@
 #!/usr/bin/env bash
 # The full local verification matrix, in the order a reviewer would
-# want failures reported:
+# want failures reported. Stages are named, not numbered:
 #
-#    1. Release build (RelWithDebInfo, -Wall -Wextra -Wshadow -Werror)
-#       + clang-tidy lint + clang-format --check + the complete ctest
-#       suite (which now includes the layering_lint_tree /
-#       layering_lint_bad_fixture pair and every fuzz corpus replay);
-#    2. layering & symbol isolation: scripts/layering_lint.py over the
-#       stage-1 compile_commands.json, then `nm` over libsim_probe --
-#       a binary linked against ebcp_libsim alone -- asserting not one
-#       ebcp::harness symbol appears in it (the link succeeding at all
-#       is the first half of the proof; see tools/CMakeLists.txt);
-#    3. address+undefined sanitizer build + the complete ctest suite.
-#       This build sets -DEBCP_FUZZ=ON, so the five fuzz harnesses are
-#       compiled with the same sanitizers as everything else;
-#    4. fuzz smoke: each harness replays its corpus and then runs a
-#       bounded, fixed-seed mutation loop under ASan/UBSan. Failures
-#       reproduce by rerunning the printed command line;
-#    5. thread sanitizer build + the sweep-determinism and composite-
-#       determinism gates (the tests that drive the parallel runner
-#       hard, including the adaptive composite controller);
-#    6. -DEBCP_AUDIT=OFF build + the complete ctest suite, proving the
-#       audit hook sites compile away cleanly and nothing depends on
-#       them (golden results are pinned by the regular suite, which
-#       runs identically in this configuration);
-#    7. checkpoint gates, explicitly and under ASan/UBSan: the
-#       save->restore bit-exactness round trip and the corrupted-
-#       checkpoint corpus (every injected fault must yield a coded
-#       Status, never a crash -- precisely the class of bug the
-#       sanitizers catch), plus the ckpt_lint format-version guard;
-#    8. -DEBCP_NO_SIMD=ON build (the portable scalar-bitmask probe
-#       fallback of the group-probed hash core) re-running the golden
-#       SimResults and FlatMap suites, so both probe paths stay
-#       bit-exact and green;
-#    9. -DEBCP_PROFILER=OFF build (EBCP_PROFILE_SCOPE compiles to
-#       nothing) re-running the golden SimResults suite plus the
-#       profiler and telemetry contracts, proving the self-profiler
-#       never touches simulated state -- goldens stay bit-exact with
-#       the scopes compiled away -- and that the "profile" stats object
-#       and telemetry stream keep their schema in the disabled build.
+#   release     Release build (RelWithDebInfo, -Wall -Wextra -Wshadow
+#               -Werror) + clang-tidy lint + clang-format --check + the
+#               complete ctest suite (which includes the
+#               layering_lint_tree / layering_lint_bad_fixture pair and
+#               every fuzz corpus replay);
+#   layering    scripts/layering_lint.py over the release build's
+#               compile_commands.json, then `nm` over libsim_probe --
+#               a binary linked against ebcp_libsim alone -- asserting
+#               not one ebcp::harness symbol appears in it (the link
+#               succeeding at all is the first half of the proof; see
+#               tools/CMakeLists.txt);
+#   asan        address+undefined sanitizer build + the complete ctest
+#               suite. This build sets -DEBCP_FUZZ=ON, so the five fuzz
+#               harnesses are compiled with the same sanitizers as
+#               everything else;
+#   fuzz-smoke  each harness replays its corpus and then runs a
+#               bounded, fixed-seed mutation loop under ASan/UBSan.
+#               Failures reproduce by rerunning the printed command;
+#   tsan        thread sanitizer build + the sweep, composite and
+#               telemetry determinism gates (the tests that drive the
+#               parallel runner hard: the adaptive composite
+#               controller, the telemetry heartbeat thread and the
+#               submission-order reorder buffer);
+#   ckpt        checkpoint gates, explicitly and under ASan/UBSan: the
+#               save->restore bit-exactness round trip and the
+#               corrupted-checkpoint corpus (every injected fault must
+#               yield a coded Status, never a crash -- precisely the
+#               class of bug the sanitizers catch), plus the ckpt_lint
+#               format-version guard;
+#   nosimd      -DEBCP_NO_SIMD=ON build (the portable scalar-bitmask
+#               probe fallback of the group-probed hash core) re-running
+#               the single-core and CMP golden SimResults and the
+#               FlatMap suites, so both probe paths stay bit-exact and
+#               green.
 #
 # Set EBCP_CHECK_PGO=1 for an extra opt-in stage: a
 # -fprofile-generate build trained on bench/throughput_bench, then a
@@ -66,14 +63,14 @@ run_ctest() {
     ctest --test-dir "$1" --output-on-failure -j "${JOBS}" "${@:2}"
 }
 
-stage "1/9 release build + lint + format + tests"
+stage "release: build + lint + format + tests"
 cmake -B build-check -DEBCP_WERROR=ON >/dev/null
 cmake --build build-check -j "${JOBS}"
 cmake --build build-check --target lint
 scripts/format.sh --check
 run_ctest build-check
 
-stage "2/9 layering lint + libsim symbol isolation"
+stage "layering: include-graph lint + libsim symbol isolation"
 scripts/layering_lint.py --compdb build-check/compile_commands.json \
     --rules layering.rules --root .
 # libsim_probe linked: the core resolves with zero harness objects.
@@ -88,13 +85,13 @@ fi
 echo "symbol isolation: libsim_probe carries no ebcp::harness symbols"
 ./build-check/tools/libsim_probe
 
-stage "3/9 address+undefined sanitizers (fuzz harnesses included)"
+stage "asan: address+undefined sanitizers (fuzz harnesses included)"
 cmake -B build-check-asan -DEBCP_SANITIZE="address;undefined" \
       -DEBCP_FUZZ=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-check-asan -j "${JOBS}"
 run_ctest build-check-asan
 
-stage "4/9 fuzz smoke (fixed-seed mutation loops under ASan/UBSan)"
+stage "fuzz-smoke: fixed-seed mutation loops under ASan/UBSan"
 # Cheap parsers get deep loops; the two checkpoint targets build and
 # run a simulator per input, so their loops are shorter. Seeds are
 # pinned: a failure here reproduces by rerunning the same command.
@@ -109,37 +106,26 @@ for t in ckpt_restore ckpt_audit; do
         fuzz/corpus/${t} fuzz/corpus/regressions/${t}
 done
 
-stage "5/9 thread sanitizer (parallel sweep determinism)"
+stage "tsan: thread sanitizer (sweep, composite, telemetry determinism)"
 cmake -B build-check-tsan -DEBCP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-check-tsan --target test_runner test_composite \
-      -j "${JOBS}"
+      test_telemetry -j "${JOBS}"
 run_ctest build-check-tsan \
-    -R 'sweep_determinism|SweepDeterminism|composite_determinism|CompositeDeterminism'
+    -R 'sweep_determinism|SweepDeterminism|composite_determinism|CompositeDeterminism|telemetry_determinism|TelemetryDeterminism'
 
-stage "6/9 -DEBCP_AUDIT=OFF build + tests"
-cmake -B build-check-noaudit -DEBCP_AUDIT=OFF >/dev/null
-cmake --build build-check-noaudit -j "${JOBS}"
-run_ctest build-check-noaudit
-
-stage "7/9 checkpoint gates (ASan/UBSan) + format-version lint"
-# The sanitizer build from stage 3 already exists; re-run the two
+stage "ckpt: checkpoint gates (ASan/UBSan) + format-version lint"
+# The sanitizer build from the asan stage already exists; re-run the two
 # checkpoint gates by name so a crash-safety regression is reported
 # as its own stage, not buried in a 500-entry suite.
 run_ctest build-check-asan -R '^ckpt_roundtrip$|^ckpt_corruption_corpus$'
 scripts/ckpt_lint.sh
 
-stage "8/9 scalar probe fallback (-DEBCP_NO_SIMD=ON): goldens + FlatMap"
+stage "nosimd: scalar probe fallback (-DEBCP_NO_SIMD=ON): goldens + CmpGoldens + FlatMap"
 cmake -B build-check-nosimd -DEBCP_NO_SIMD=ON >/dev/null
 cmake --build build-check-nosimd --target test_golden_results \
-      test_flat_map -j "${JOBS}"
-run_ctest build-check-nosimd -R 'GoldenResults|FlatMap'
-
-stage "9/9 profiler compiled away (-DEBCP_PROFILER=OFF): goldens bit-exact"
-cmake -B build-check-noprof -DEBCP_PROFILER=OFF >/dev/null
-cmake --build build-check-noprof --target test_golden_results \
-      test_profiler test_telemetry -j "${JOBS}"
-run_ctest build-check-noprof -R 'GoldenResults|Profiler|Telemetry'
+      test_cmp test_flat_map -j "${JOBS}"
+run_ctest build-check-nosimd -R 'GoldenResults|CmpGoldens|FlatMap'
 
 if [[ "${EBCP_CHECK_PGO:-0}" == "1" ]]; then
     stage "opt-in PGO: instrument, train on throughput_bench, rebuild"

@@ -98,7 +98,6 @@ void
 EpochBasedPrefetcher::traceEmabTurnover(const CoreState &cs, EpochId epoch,
                                         const L2AccessInfo &info)
 {
-#ifndef EBCP_DISABLE_EVENT_TRACE
     if (!trace_)
         return;
     if (cs.emab.full()) {
@@ -108,11 +107,6 @@ EpochBasedPrefetcher::traceEmabTurnover(const CoreState &cs, EpochId epoch,
     }
     EBCP_TRACE_EVENT(trace_, TraceEventKind::EmabInsert, info.when, 0,
                      epoch, info.lineAddr);
-#else
-    (void)cs;
-    (void)epoch;
-    (void)info;
-#endif
 }
 
 EpochBasedPrefetcher::CoreState &

@@ -31,8 +31,8 @@ CoreModel::CoreModel(const CoreConfig &cfg, MemSystem &mem)
     stats_.addChild(bp_.stats());
 }
 
-// Forced inline: both callers must get their own copy, so that in
-// runBounded() the span-local Sched never has its address taken and
+// Forced inline: every caller must get its own copy, so that in
+// retireLoop() the span-local Sched never has its address taken and
 // stays in registers.
 __attribute__((always_inline)) inline InstTiming
 CoreModel::step(Sched &s, const TraceRecord &rec, Sched *sync)
@@ -220,6 +220,16 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
 void
 CoreModel::runBounded(TraceSource &src, std::uint64_t count)
 {
+    if (auditor_)
+        retireLoop<true>(src, count);
+    else
+        retireLoop<false>(src, count);
+}
+
+template <bool Audited>
+void
+CoreModel::retireLoop(TraceSource &src, std::uint64_t count)
+{
     // Records arrive through the decode-ahead pipe without a per-record
     // copy. Span sources -- every synthetic workload -- lend their own
     // record ring in place; other sources (trace files) decode into
@@ -232,11 +242,12 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
     Tick prev_retire = s_.lastRetire;
     const Tick watchdog = watchdogLimit_;
     std::uint64_t remaining = count;
-    // With an auditor attached, the span-local state is written back
-    // before each memory-system call (inside step()) and each retire
-    // hook, so every audit sees current state; otherwise only at span
-    // end and on a trip. Audit-disabled builds fold this to nullptr.
-    Sched *const sync = EBCP_AUDIT_ENABLED && auditor_ ? &s_ : nullptr;
+    // Audited, the span-local state is written back before each
+    // memory-system call (inside step()) and each retire hook, so
+    // every audit sees current state. Unaudited, sync is a literal
+    // null and the write-backs fold away: state goes back only at
+    // span end and on a trip.
+    Sched *const sync = Audited ? &s_ : nullptr;
     // One clock read per run() call (and one more on a trip), never
     // per instruction: the wall-clock context in watchdog dumps must
     // not slow the retirement loop.
@@ -248,13 +259,13 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
                         remaining, ~std::size_t{0})));
         Sched s = s_;
         for (std::size_t i = 0; i < got; ++i) {
-#if EBCP_AUDIT_ENABLED
             // Screen the raw record before it shapes any timing: a
             // malformed one is evidence of corruption upstream of the
             // core, surfaced by audit() rather than a crash here.
-            if (sync && recordAuditError(batch[i]))
-                ++malformedRecords_;
-#endif
+            if constexpr (Audited) {
+                if (recordAuditError(batch[i]))
+                    ++malformedRecords_;
+            }
             const InstTiming t = step(s, batch[i], sync);
             if (watchdog && t.retire > prev_retire + watchdog) {
                 s_ = s;
@@ -267,8 +278,7 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
                 return;
             }
             prev_retire = t.retire;
-#if EBCP_AUDIT_ENABLED
-            if (sync) {
+            if constexpr (Audited) {
                 s_ = s;
                 auditor_->onRetire(t.retire);
                 // Under the abort policy a failed pass ends the run
@@ -277,7 +287,6 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
                 if (auditor_->abortRequested())
                     return;
             }
-#endif
         }
         s_ = s;
         pipe.consume(got);

@@ -155,8 +155,8 @@ class CoreModel
     /**
      * Attach the invariant auditor. When set, run() fires the
      * retire-cadence hook after each instruction and screens each
-     * trace record with recordAuditError(). Audit-disabled builds
-     * compile both out; a null pointer is always legal.
+     * trace record with recordAuditError(); when null (always legal),
+     * run() takes a loop with neither.
      */
     void setAuditor(Auditor *aud) { auditor_ = aud; }
 
@@ -190,7 +190,7 @@ class CoreModel
 
     /**
      * The scheduling state every instruction reads and writes, as one
-     * value. runBounded() copies it into a local for each span so it
+     * value. retireLoop() copies it into a local for each span so it
      * lives in registers: held through `this`, every store to a ring
      * slot, register ready time or stat counter (all 64-bit words that
      * may alias it) forced it to be reloaded.
@@ -234,7 +234,7 @@ class CoreModel
 
     /**
      * Time one instruction against @p s: the member state for
-     * process(), a span-local copy for runBounded(). A non-null
+     * process(), a span-local copy for retireLoop(). A non-null
      * @p sync receives @p s before every call into the memory system,
      * so audits fired from inside it see exactly the state they would
      * see with no copy in between.
@@ -266,8 +266,14 @@ class CoreModel
     bool watchdogTripped_ = false;
     double watchdogWallSeconds_ = 0.0;
 
-    /** The deadline-free retirement loop behind run(). */
+    /** The deadline-free retirement loop behind run(): picks the
+     * audited or the unaudited instance of retireLoop() once. */
     void runBounded(TraceSource &src, std::uint64_t count);
+
+    /** One loop body, instantiated twice. The unaudited instance has
+     * no state write-backs, record screening or retire hook. */
+    template <bool Audited>
+    void retireLoop(TraceSource &src, std::uint64_t count);
 
     std::chrono::steady_clock::time_point wallDeadline_{};
     bool wallDeadlineArmed_ = false;

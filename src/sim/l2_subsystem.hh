@@ -98,8 +98,7 @@ class L2Subsystem : public PrefetchEngine
 
     /**
      * Attach the invariant auditor: epoch triggers observed by the
-     * demand tracker fire the epoch-cadence hook. Null is legal;
-     * audit-disabled builds compile the hook out.
+     * demand tracker fire the epoch-cadence hook. Null is legal.
      */
     void setAuditor(Auditor *aud) { auditor_ = aud; }
 
@@ -138,12 +137,8 @@ class L2Subsystem : public PrefetchEngine
     void
     observeEpoch(Tick issue, Tick complete)
     {
-#if EBCP_AUDIT_ENABLED
-        if (epochs_.observe(issue, complete).newEpoch)
-            EBCP_AUDIT_EPOCH(auditor_, issue);
-#else
-        epochs_.observe(issue, complete);
-#endif
+        if (epochs_.observe(issue, complete).newEpoch && auditor_)
+            auditor_->onEpoch(issue);
     }
 
     SimConfig cfg_;

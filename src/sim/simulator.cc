@@ -106,11 +106,6 @@ Simulator::configureAudit(const AuditOptions &opts)
         auditor_.reset();
         return Status();
     }
-#if !EBCP_AUDIT_ENABLED
-    return invalidArgError(
-        "auditing requested (cadence is not \"off\") but this build "
-        "was configured with -DEBCP_AUDIT=OFF and has no hook sites");
-#else
     auditor_ = std::make_unique<Auditor>(opts);
     AuditRegistry &reg = auditor_->registry();
     for (unsigned i = 0; i < cores(); ++i)
@@ -160,7 +155,6 @@ Simulator::configureAudit(const AuditOptions &opts)
         c->setAuditor(auditor_.get());
     l2side_->setAuditor(auditor_.get());
     return Status();
-#endif
 }
 
 Status

@@ -194,9 +194,7 @@ class Simulator
      * epoch-id monotonicity) and wires the retire/epoch hooks.
      *
      * Audits read state only, so results are bit-identical with
-     * auditing on or off. In a -DEBCP_AUDIT=OFF build any cadence
-     * other than Off is an InvalidArgument error: a build without
-     * hook sites must not pretend it audited.
+     * auditing on or off.
      */
     Status configureAudit(const AuditOptions &opts);
 

@@ -18,8 +18,7 @@
  *    timing, so traced and untraced runs produce bit-identical
  *    SimResults (tests/test_observability.cc proves it);
  *  - every record site goes through EBCP_TRACE_EVENT, which is a
- *    null-pointer test when tracing is off at runtime and compiles
- *    to nothing under -DEBCP_DISABLE_EVENT_TRACE;
+ *    null-pointer test when tracing is off at runtime;
  *  - a sink is single-writer by construction (each simulated
  *    component owns its sink; sweep threads never share one), so the
  *    ring needs no locks or atomics -- "lock-free" the cheap way;
@@ -222,19 +221,13 @@ Status validateChromeTraceJson(const std::string &text);
 /**
  * Record an event through a possibly-null TraceSink*. The macro is
  * the only sanctioned record path: it keeps the disabled cost to one
- * predictable branch and lets -DEBCP_DISABLE_EVENT_TRACE compile
- * every site away entirely.
+ * predictable branch, and the event's arguments are not evaluated
+ * when the sink is null.
  */
-#ifndef EBCP_DISABLE_EVENT_TRACE
 #define EBCP_TRACE_EVENT(sink, ...)                                        \
     do {                                                                   \
         if (sink)                                                          \
             (sink)->record(__VA_ARGS__);                                   \
     } while (0)
-#else
-#define EBCP_TRACE_EVENT(sink, ...)                                        \
-    do {                                                                   \
-    } while (0)
-#endif
 
 #endif // EBCP_UTIL_EVENT_TRACE_HH

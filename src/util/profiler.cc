@@ -23,8 +23,6 @@ phaseName(Phase p)
     return names[static_cast<unsigned>(p)];
 }
 
-#ifndef EBCP_DISABLE_PROFILER
-
 namespace detail
 {
 
@@ -230,48 +228,6 @@ exportProfileSpans(TraceLog &log)
         log.addSpan(phaseName(n.phase), "profile", 1, 0, ts, avail);
     }
 }
-
-#else // EBCP_DISABLE_PROFILER
-
-void
-setEnabled(bool)
-{
-}
-
-bool
-enabled()
-{
-    return false;
-}
-
-void
-resetThisThread()
-{
-}
-
-Report
-snapshotThisThread()
-{
-    return {};
-}
-
-void
-writeProfileJson(JsonWriter &w)
-{
-    w.beginObject();
-    w.kv("enabled", false);
-    w.kv("clock", "disabled");
-    w.key("nodes").beginArray();
-    w.endArray();
-    w.endObject();
-}
-
-void
-exportProfileSpans(TraceLog &)
-{
-}
-
-#endif // EBCP_DISABLE_PROFILER
 
 std::string
 profileJsonString()

@@ -22,9 +22,7 @@
  *  - accumulators are thread_local, so there is no sharing, no
  *    locking, and no cross-thread data race to report: a snapshot is
  *    explicitly *this thread's* tree, which matches how the sweep
- *    runner executes each simulation on a single worker thread;
- *  - -DEBCP_DISABLE_PROFILER compiles every scope away entirely
- *    (check.sh proves goldens stay bit-exact in both modes).
+ *    runner executes each simulation on a single worker thread.
  */
 
 #ifndef EBCP_UTIL_PROFILER_HH
@@ -101,7 +99,7 @@ Report snapshotThisThread();
 
 /** Write this thread's profile as one JSON object value:
  * {"enabled": ..., "clock": ..., "nodes": [...]}. Always writes a
- * valid object, even when the profiler is compiled out. */
+ * valid object, even when the profiler is switched off. */
 void writeProfileJson(JsonWriter &w);
 
 /** writeProfileJson() rendered to a string (for rawValue splicing
@@ -111,10 +109,8 @@ std::string profileJsonString();
 /** Add this thread's phase tree to @p log as a flame of "X" spans on
  * its own process row (pid 1, ts in nanoseconds), so Perfetto shows
  * host-side attribution next to the simulated timeline. No-op when
- * the tree is empty or the profiler is compiled out. */
+ * the tree is empty. */
 void exportProfileSpans(TraceLog &log);
-
-#ifndef EBCP_DISABLE_PROFILER
 
 namespace detail
 {
@@ -259,24 +255,18 @@ class Scope
     bool timed_ = false;
 };
 
-#endif // !EBCP_DISABLE_PROFILER
-
 } // namespace prof
 } // namespace ebcp
 
 /**
  * Open a profiler phase scope for the rest of the enclosing block.
- * The only sanctioned instrumentation path: compiles to nothing under
- * -DEBCP_DISABLE_PROFILER.
+ * The only sanctioned instrumentation path: it names the scope
+ * variable, so a site cannot open a temporary that closes at once.
  */
-#ifndef EBCP_DISABLE_PROFILER
 #define EBCP_PROF_CONCAT2(a, b) a##b
 #define EBCP_PROF_CONCAT(a, b) EBCP_PROF_CONCAT2(a, b)
 #define EBCP_PROFILE_SCOPE(phase)                                          \
     ::ebcp::prof::Scope EBCP_PROF_CONCAT(ebcp_prof_scope_, __LINE__)(      \
         ::ebcp::prof::Phase::phase)
-#else
-#define EBCP_PROFILE_SCOPE(phase) ((void)0)
-#endif
 
 #endif // EBCP_UTIL_PROFILER_HH

@@ -120,6 +120,13 @@ AuditContext::reset()
 // --- Auditor -------------------------------------------------------
 
 void
+Auditor::onEpoch(Tick now)
+{
+    if (opts_.cadence == AuditCadence::Epoch)
+        runNow(now);
+}
+
+void
 Auditor::runNow(Tick now)
 {
     EBCP_PROFILE_SCOPE(Audit);

@@ -19,8 +19,9 @@
  * object inside the ebcp-stats-v1 JSON document.
  *
  * Audits only ever *read* component state, so SimResults are
- * bit-identical whether auditing is off, on, or compiled away with
- * -DEBCP_AUDIT=OFF (which reduces each hook site below to nothing).
+ * bit-identical whether auditing is on or off. With no auditor
+ * attached, the core runs a retirement loop instance with no hook
+ * sites at all (CoreModel::runBounded picks it once per call).
  */
 
 #ifndef EBCP_VERIFY_AUDIT_HH
@@ -186,10 +187,11 @@ class AuditRegistry
 };
 
 /**
- * Cadence + policy wrapper the simulators own. Hook sites call
- * onRetire()/onEpoch() through the EBCP_AUDIT_* macros below; the
- * inline cadence tests keep the per-instruction cost to a pointer
- * test and (for every:N) one comparison.
+ * Cadence + policy wrapper the simulators own. Hook sites reach
+ * onRetire()/onEpoch() through a pointer that is null when auditing
+ * is off. The inline retire cadence test costs one comparison for
+ * every:N; onEpoch() is out of line, since epoch triggers are rare
+ * and its call site sits on the L2 access path.
  */
 class Auditor
 {
@@ -209,12 +211,7 @@ class Auditor
             runNow(now);
     }
 
-    void
-    onEpoch(Tick now)
-    {
-        if (opts_.cadence == AuditCadence::Epoch)
-            runNow(now);
-    }
+    void onEpoch(Tick now);
 
     /** One full pass over the registry, unconditionally. */
     void runNow(Tick now);
@@ -238,25 +235,6 @@ class Auditor
     std::uint64_t passes_ = 0;
     bool abort_ = false;
 };
-
-/**
- * Hook-site macros. The pointer may be null (auditing not
- * configured); with -DEBCP_AUDIT=OFF the sites vanish entirely and
- * EBCP_AUDIT_ENABLED lets code (and tests) gate audit-only logic.
- */
-#ifndef EBCP_DISABLE_AUDIT
-#define EBCP_AUDIT_ENABLED 1
-#define EBCP_AUDIT_EPOCH(aud, now)                                     \
-    do {                                                               \
-        if (aud)                                                       \
-            (aud)->onEpoch(now);                                       \
-    } while (0)
-#else
-#define EBCP_AUDIT_ENABLED 0
-#define EBCP_AUDIT_EPOCH(aud, now)                                     \
-    do {                                                               \
-    } while (0)
-#endif
 
 } // namespace ebcp
 

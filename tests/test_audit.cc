@@ -421,8 +421,6 @@ everyTicks(std::uint64_t n,
 
 } // namespace
 
-#if EBCP_AUDIT_ENABLED
-
 TEST(SimulatorAudit, CleanRunAuditsCleanAtEveryCadence)
 {
     for (AuditCadence cad :
@@ -590,34 +588,11 @@ TEST(SimulatorAudit, CmpAbortPolicyStopsTheRun)
     EXPECT_EQ(r.status().code(), StatusCode::InvariantViolation);
 }
 
-#else // !EBCP_AUDIT_ENABLED
-
-TEST(SimulatorAudit, OffBuildRejectsAnyEnabledCadence)
-{
-    // A -DEBCP_AUDIT=OFF build has no hook sites; it must refuse to
-    // pretend it audited rather than silently running nothing.
-    SimConfig cfg;
-    PrefetcherParams pf;
-    pf.name = "null";
-    Simulator sim(cfg, pf);
-    Status s = sim.configureAudit(everyTicks(1000));
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
-    EXPECT_EQ(sim.auditor(), nullptr);
-
-    // Cadence off remains fine.
-    EXPECT_TRUE(sim.configureAudit(AuditOptions{}).ok());
-}
-
-#endif // EBCP_AUDIT_ENABLED
-
 // ---------------------------------------------------------------------
 // Fault x audit cross-matrix: every table/trace fault kind must be
 // caught by the invariant it breaks. Registered as the dedicated
 // audit_fault_detection ctest entry.
 // ---------------------------------------------------------------------
-
-#if EBCP_AUDIT_ENABLED
 
 namespace
 {
@@ -782,5 +757,3 @@ TEST(AuditFaultMatrix, AbortPolicyTurnsAFaultIntoAFailedRun)
               std::string::npos)
         << r.status().message();
 }
-
-#endif // EBCP_AUDIT_ENABLED

@@ -9,7 +9,7 @@
  *
  * CkptRoundtrip.* and CkptCorpus.* are also registered as dedicated
  * ctest entries (ckpt_roundtrip, ckpt_corruption_corpus) which
- * check.sh stage 5 runs under ASan/UBSan.
+ * check.sh's ckpt stage runs under ASan/UBSan.
  */
 
 #include <gtest/gtest.h>

@@ -17,6 +17,7 @@
 #include "ckpt/archiver.hh"
 #include "cpu/core_model.hh"
 #include "cpu/mem_iface.hh"
+#include "verify/audit.hh"
 
 using namespace ebcp;
 
@@ -458,10 +459,13 @@ statsDump(CoreModel &core)
 
 /** Run @p recs through run() on one core and process() on another and
  * require identical state; @p watchdog and @p deadline arm the run
- * core's trip machinery (the process core re-derives the trip). */
+ * core's trip machinery (the process core re-derives the trip), and
+ * @p audited attaches a retire-cadence auditor to the run core, so
+ * run() takes its audited loop, which must also audit clean. */
 void
 expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
-                        Addr huge_line, Tick watchdog, bool deadline)
+                        Addr huge_line, Tick watchdog, bool deadline,
+                        bool audited)
 {
     LoggingMem mem_run;
     LoggingMem mem_proc;
@@ -472,6 +476,13 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
     if (deadline)
         run_core.setWallDeadline(std::chrono::steady_clock::now() +
                                  std::chrono::hours(1));
+    AuditOptions audit_opts;
+    audit_opts.cadence = AuditCadence::Retire;
+    Auditor auditor(audit_opts);
+    auditor.registry().add(
+        "core", [&run_core](AuditContext &c) { run_core.audit(c); });
+    if (audited)
+        run_core.setAuditor(&auditor);
 
     // Split at a point that is not a span or chunk boundary, with a
     // measurement mark in between, as warm-up + measure does.
@@ -483,6 +494,7 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
         run_core.run(src, recs.size() - warm);
 
     Tick prev = 0;
+    std::uint64_t retired = 0; // instructions that did not trip
     for (std::size_t i = 0; i < recs.size(); ++i) {
         if (i == warm)
             proc_core.beginMeasurement();
@@ -490,6 +502,7 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
         if (watchdog && t.retire > prev + watchdog)
             break;
         prev = t.retire;
+        ++retired;
     }
 
     EXPECT_EQ(run_core.watchdogTripped(), watchdog != 0);
@@ -500,6 +513,10 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
     EXPECT_EQ(mem_run.log, mem_proc.log);
     EXPECT_EQ(statsDump(run_core), statsDump(proc_core));
     EXPECT_EQ(ckptBytes(run_core), ckptBytes(proc_core));
+    EXPECT_EQ(auditor.passes(), audited ? retired : 0);
+    EXPECT_TRUE(auditor.context().clean())
+        << auditor.context().toStatus().toString();
+    EXPECT_EQ(run_core.malformedRecords(), 0u);
 }
 
 } // namespace
@@ -509,9 +526,13 @@ TEST(CoreModelRunLoop, RunMatchesProcessOneRecordAtATime)
     const std::vector<TraceRecord> recs = mixedStream(60'000);
     for (const bool span : {true, false}) {
         for (const bool deadline : {false, true}) {
-            SCOPED_TRACE(testing::Message() << "span=" << span
-                                            << " deadline=" << deadline);
-            expectRunMatchesProcess(recs, span, InvalidAddr, 0, deadline);
+            for (const bool audited : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "span=" << span << " deadline=" << deadline
+                             << " audited=" << audited);
+                expectRunMatchesProcess(recs, span, InvalidAddr, 0,
+                                        deadline, audited);
+            }
         }
     }
 }
@@ -529,10 +550,13 @@ TEST(CoreModelRunLoop, WatchdogTripInsideASpanMatchesProcess)
     stall.dstReg = 7;
     for (const bool span : {true, false}) {
         for (const bool deadline : {false, true}) {
-            SCOPED_TRACE(testing::Message() << "span=" << span
-                                            << " deadline=" << deadline);
-            expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
-                                    deadline);
+            for (const bool audited : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "span=" << span << " deadline=" << deadline
+                             << " audited=" << audited);
+                expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
+                                        deadline, audited);
+            }
         }
     }
 }

@@ -108,10 +108,6 @@ TEST(EventTrace, AttachedLogAndSamplerLeaveResultsBitExact)
 
 // --- Chrome trace export -------------------------------------------
 
-// Under -DEBCP_DISABLE_EVENT_TRACE every record site compiles away,
-// so an attached log legitimately stays empty; the export test only
-// makes sense with the sites present.
-#ifndef EBCP_DISABLE_EVENT_TRACE
 TEST(EventTrace, ExportedTimelineIsValidChromeTraceJson)
 {
     TraceLog log;
@@ -180,7 +176,6 @@ TEST(EventTrace, ExportedTimelineIsValidChromeTraceJson)
     EXPECT_TRUE(counter_names.count("corr_table_fill"));
     EXPECT_TRUE(counter_names.count("channel_backlog_ticks"));
 }
-#endif // EBCP_DISABLE_EVENT_TRACE
 
 TEST(EventTrace, ValidatorRejectsMalformedTimelines)
 {

@@ -5,9 +5,9 @@
  * The contract under test: visit counts are exact (only times are
  * stride-sampled), scopes nest into per-path tree nodes, the runtime
  * toggle and the profiler itself never perturb simulated results, the
- * exported "profile" object passes the ebcp-stats-v1 validator in
- * both build modes, and the flame-span export forms a valid Chrome
- * trace on its own (pid 1) track.
+ * exported "profile" object passes the ebcp-stats-v1 validator, and
+ * the flame-span export forms a valid Chrome trace on its own (pid 1)
+ * track.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@ runSmall(const char *workload, const char *pf_name)
     return sim.run(*src, 50'000, 100'000);
 }
 
-#ifndef EBCP_DISABLE_PROFILER
 const prof::NodeReport *
 findNode(const prof::Report &rep, const std::string &path)
 {
@@ -51,11 +50,8 @@ findNode(const prof::Report &rep, const std::string &path)
             return &n;
     return nullptr;
 }
-#endif
 
 } // namespace
-
-#ifndef EBCP_DISABLE_PROFILER
 
 TEST(Profiler, VisitCountsAreExactAndPathsNest)
 {
@@ -182,7 +178,6 @@ TEST(Profiler, SimulationPopulatesExpectedPhases)
     EXPECT_NE(findNode(rep, "core_loop/decode"), nullptr);
 }
 
-#ifndef EBCP_DISABLE_EVENT_TRACE
 TEST(Profiler, ExportedSpansFormValidChromeTrace)
 {
     prof::setEnabled(true);
@@ -218,11 +213,6 @@ TEST(Profiler, ExportedSpansFormValidChromeTrace)
     }
     EXPECT_EQ(spans, 3u); // core_loop, decode, prefetch_train
 }
-#endif // EBCP_DISABLE_EVENT_TRACE
-
-#endif // EBCP_DISABLE_PROFILER
-
-// --- Both build modes ----------------------------------------------
 
 TEST(Profiler, ProfileJsonValidatesInsideStatsDocument)
 {

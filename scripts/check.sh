@@ -133,7 +133,7 @@ if [[ "${EBCP_CHECK_PGO:-0}" == "1" ]]; then
     cmake --build build-check-pgo --target throughput_bench -j "${JOBS}"
     (cd build-check-pgo &&
      ./bench/throughput_bench warm=500000 measure=1000000 reps=1 \
-         json= >/dev/null)
+         >/dev/null)
     cmake -B build-check-pgo -DEBCP_PGO=use >/dev/null
     cmake --build build-check-pgo -j "${JOBS}"
     run_ctest build-check-pgo -R 'GoldenResults|perf-smoke'

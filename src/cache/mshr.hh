@@ -69,7 +69,7 @@ class MshrFile
 
     StatGroup &stats() { return stats_; }
 
-    /** Host hash-map probe counters (throughput bench). */
+    /** Host hash-map probe counters (perfbench). */
     const FlatMapStats &mapStats() const { return inflight_.stats(); }
 
     /**

@@ -111,7 +111,7 @@ class CorrelationTable
     const CorrTableConfig &config() const { return cfg_; }
     StatGroup &stats() { return stats_; }
 
-    /** Host hash-map probe counters (throughput bench). */
+    /** Host hash-map probe counters (perfbench). */
     const FlatMapStats &mapStats() const { return entries_.stats(); }
 
     /** Re-derive structural invariants: population within the

@@ -191,7 +191,7 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
     // Chunked execution keeps the deadline entirely off the hot
     // retirement loop: one clock read per chunk, and a run with no
     // deadline armed takes the plain path above at zero cost (the
-    // perf-smoke bench enforces <1% with the deadline armed).
+    // perf-smoke gate holds the armed cost under 2%).
     constexpr std::uint64_t kDeadlineChunk = 8192;
     const auto wall_start = std::chrono::steady_clock::now();
     std::uint64_t remaining = count;

@@ -17,8 +17,7 @@ beginStatsJson(JsonWriter &w, std::string_view source)
 
 void
 endStatsJson(JsonWriter &w, std::string_view diagnostic_raw,
-             std::string_view audit_raw, std::string_view profile_raw,
-             std::string_view host_raw)
+             std::string_view audit_raw, std::string_view profile_raw)
 {
     w.endArray();
     if (!diagnostic_raw.empty()) {
@@ -32,10 +31,6 @@ endStatsJson(JsonWriter &w, std::string_view diagnostic_raw,
     if (!profile_raw.empty()) {
         w.key("profile");
         w.rawValue(profile_raw);
-    }
-    if (!host_raw.empty()) {
-        w.key("host_counters");
-        w.rawValue(host_raw);
     }
     w.endObject();
 }
@@ -163,25 +158,6 @@ validateStatsJson(const std::string &text)
         }
     }
 
-    if (const JsonValue *host = root.find("host_counters")) {
-        if (!host->isObject())
-            return corruptionError("'host_counters' is not an object");
-        const JsonValue *available = host->find("available");
-        if (!available || !available->isBool())
-            return corruptionError(
-                "'host_counters' lacks an 'available' boolean");
-        const JsonValue *reason = host->find("reason");
-        if (!reason || !reason->isString())
-            return corruptionError(
-                "'host_counters' lacks a 'reason' string");
-        const JsonValue *src_member = host->find("nominal_source");
-        if (!src_member || !src_member->isString())
-            return corruptionError(
-                "'host_counters' lacks a 'nominal_source' string");
-        if (!host->hasNumber("nominal_hz"))
-            return corruptionError(
-                "'host_counters' lacks a 'nominal_hz' number");
-    }
     return Status();
 }
 

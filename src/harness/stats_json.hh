@@ -2,9 +2,9 @@
  * @file
  * The one stats.json schema ("ebcp-stats-v1").
  *
- * ebcp_cli, throughput_bench and the sweep runner all used to print
+ * ebcp_cli, the benches and the sweep runner all used to print
  * results in their own ad-hoc shapes; anything downstream (plots,
- * regression diffing) had to know three formats. This module is the
+ * regression diffing) had to know each format. This module is the
  * single definition: every producer frames its document with
  * beginStatsJson()/endStatsJson() and emits each run's SimResults
  * through writeSimResultsJson(), and every producer re-reads its own
@@ -25,8 +25,7 @@
  *     ],
  *     "diagnostic": { ... },     // optional (stalled runs)
  *     "audit": { ... },          // optional (invariant-audit summary)
- *     "profile": { ... },        // optional (self-profiler phase tree)
- *     "host_counters": { ... }   // optional (perf_event availability)
+ *     "profile": { ... }         // optional (self-profiler phase tree)
  *   }
  */
 
@@ -57,15 +56,12 @@ void beginStatsJson(JsonWriter &w, std::string_view source);
  * non-empty, must be a complete JSON value (e.g. a watchdog
  * diagnostic object) and becomes the top-level "diagnostic" member;
  * @p audit_raw likewise (an Auditor::summaryJson() object) becomes
- * the top-level "audit" member; @p profile_raw (a
- * prof::profileJsonString() object) becomes "profile"; @p host_raw
- * (a host-counter availability object: available/estimated/reason/
- * nominal_hz/nominal_source) becomes "host_counters".
+ * the top-level "audit" member; and @p profile_raw (a
+ * prof::profileJsonString() object) becomes "profile".
  */
 void endStatsJson(JsonWriter &w, std::string_view diagnostic_raw = {},
                   std::string_view audit_raw = {},
-                  std::string_view profile_raw = {},
-                  std::string_view host_raw = {});
+                  std::string_view profile_raw = {});
 
 /** Emit @p r as one JSON object value (a run's "results" member). */
 void writeSimResultsJson(JsonWriter &w, const SimResults &r);

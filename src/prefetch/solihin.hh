@@ -74,9 +74,6 @@ class SolihinPrefetcher : public Prefetcher
     /** Serialize or restore all learned state (checkpointing). */
     void ckpt(ckpt::Archiver &ar) override;
 
-    /** Host hash-map probe counters (throughput bench). */
-    const FlatMapStats &mapStats() const { return table_.stats(); }
-
   private:
     struct Level
     {

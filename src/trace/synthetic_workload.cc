@@ -18,8 +18,8 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadConfig &cfg)
     // record count (the high-water mark: generateTransaction() fills a
     // whole transaction whenever the buffer runs dry). Sized from the
     // config's worst-case op shape so the measured phase performs zero
-    // ring growths -- the throughput bench and the steady-state
-    // allocation test both assert grows == 0.
+    // ring growths -- perfbench reports grows as trace.ring_grows,
+    // and the steady-state allocation test asserts grows == 0.
     const unsigned len_max =
         std::max({cfg.chaseLenMax, cfg.btreeLevels + 1,
                   cfg.scanLinesMax, 6u});

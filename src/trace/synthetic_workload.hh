@@ -128,7 +128,7 @@ class SyntheticWorkload : public TraceSource
     void finishRecord(Addr pc);
 
   public:
-    /** Buffer traffic/allocation counters (throughput bench). */
+    /** Buffer traffic/allocation counters (perfbench, tests). */
     const RingStats &ringStats() const { return buf_.stats(); }
 
   private:

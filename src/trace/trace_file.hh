@@ -211,7 +211,7 @@ class FileTraceSource : public TraceSource
     FreeListPool<std::vector<unsigned char>> payloadPool_;
 
   public:
-    /** Payload-buffer reuse counters (throughput bench / tests). */
+    /** Payload-buffer reuse counters. */
     const PoolStats &payloadPoolStats() const
     {
         return payloadPool_.stats();

@@ -292,9 +292,9 @@ TraceLog::exportChromeJson(const std::string &path) const
         if (!out)
             return ioError("short write to '", path, "'");
     }
-    // Same pattern as BENCH_throughput.json: the producer re-reads
-    // and validates its own artifact, so a malformed file fails the
-    // run that wrote it.
+    // Same pattern as every ebcp-stats-v1 producer: the producer
+    // re-reads and validates its own artifact, so a malformed file
+    // fails the run that wrote it.
     std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();

@@ -24,7 +24,7 @@
  * fit under the load-factor cap without rehashing, which is how the
  * MSHR file achieves zero steady-state allocation.
  *
- * Cheap always-on counters (FlatMapStats) feed the throughput bench's
+ * Cheap always-on counters (FlatMapStats) feed perfbench's
  * per-structure probe statistics. findProbes counts *key comparisons*
  * (candidate slots whose fingerprint matched), findGroups counts
  * control-byte groups scanned; with the fingerprint filter in place,
@@ -55,7 +55,7 @@
 namespace ebcp
 {
 
-/** Operation counters of one FlatMap (throughput-bench reporting). */
+/** Operation counters of one FlatMap (perfbench reporting). */
 struct FlatMapStats
 {
     std::uint64_t finds = 0;       //!< find() calls
@@ -76,15 +76,6 @@ struct FlatMapStats
     probesPerFind() const
     {
         return finds ? static_cast<double>(findProbes) /
-                           static_cast<double>(finds)
-                     : 0.0;
-    }
-
-    /** Mean control-byte groups scanned per find. */
-    double
-    groupsPerFind() const
-    {
-        return finds ? static_cast<double>(findGroups) /
                            static_cast<double>(finds)
                      : 0.0;
     }

@@ -7,7 +7,7 @@
  * state) acquire from the pool and release back to it; after warm-up
  * every acquire is served from the free list and the hot path touches
  * the allocator never. PoolStats exposes exactly that property so
- * tests and the throughput bench can assert it.
+ * tests can assert it.
  *
  * Objects are handed back with their internal state intact (e.g. a
  * vector keeps its capacity); the caller is responsible for clearing

@@ -118,10 +118,6 @@ PerfCounters::PerfCounters()
     const int open_errno = cyclesFd_ < 0 ? errno : 0;
     instructionsFd_ = openCounter(PERF_TYPE_HARDWARE,
                                   PERF_COUNT_HW_INSTRUCTIONS);
-    cacheMissesFd_ = openCounter(PERF_TYPE_HARDWARE,
-                                 PERF_COUNT_HW_CACHE_MISSES);
-    branchMissesFd_ = openCounter(PERF_TYPE_HARDWARE,
-                                  PERF_COUNT_HW_BRANCH_MISSES);
     available_ = cyclesFd_ >= 0 && instructionsFd_ >= 0;
     if (!available_) {
         // Say exactly which door is closed: the syscall's errno plus
@@ -147,8 +143,7 @@ PerfCounters::PerfCounters()
 
 PerfCounters::~PerfCounters()
 {
-    for (int fd : {cyclesFd_, instructionsFd_, cacheMissesFd_,
-                   branchMissesFd_})
+    for (int fd : {cyclesFd_, instructionsFd_})
         if (fd >= 0)
             close(fd);
 }
@@ -157,8 +152,7 @@ void
 PerfCounters::start()
 {
     startCpuSeconds_ = threadCpuSeconds();
-    for (int fd : {cyclesFd_, instructionsFd_, cacheMissesFd_,
-                   branchMissesFd_}) {
+    for (int fd : {cyclesFd_, instructionsFd_}) {
         controlCounter(fd, PERF_EVENT_IOC_RESET);
         controlCounter(fd, PERF_EVENT_IOC_ENABLE);
     }
@@ -167,8 +161,7 @@ PerfCounters::start()
 void
 PerfCounters::stop()
 {
-    for (int fd : {cyclesFd_, instructionsFd_, cacheMissesFd_,
-                   branchMissesFd_})
+    for (int fd : {cyclesFd_, instructionsFd_})
         controlCounter(fd, PERF_EVENT_IOC_DISABLE);
     sample_ = {};
     sample_.available = available_;
@@ -176,8 +169,6 @@ PerfCounters::stop()
     if (available_) {
         sample_.cycles = readCounter(cyclesFd_);
         sample_.instructions = readCounter(instructionsFd_);
-        sample_.cacheMisses = readCounter(cacheMissesFd_);
-        sample_.branchMisses = readCounter(branchMissesFd_);
         sample_.nominalSource = "hardware";
         return;
     }

@@ -3,16 +3,16 @@
  * Hardware performance counters via perf_event_open (no external
  * dependencies).
  *
- * The throughput bench reports host cycles/instructions alongside
- * simulated-insts/sec, so a perf regression can be attributed to the
- * simulator (host IPC flat, instructions up) or to the machine (IPC
- * down). Counter access is frequently unavailable -- containers,
- * perf_event_paranoid, non-Linux hosts -- so construction degrades
- * gracefully: available() turns false and the sample falls back to a
- * CPU-time-based cycle estimate (getrusage thread time x the nominal
- * frequency from /proc/cpuinfo) plus a structured reason string
- * saying exactly why the hardware path is closed (syscall errno and
- * the perf_event_paranoid setting), instead of a bare row of zeros.
+ * The perf-smoke gates (bench/throughput_bench) time their runs by a
+ * sample's thread CPU time, and perfbench's host record reports
+ * whether hardware counters were available and, if not, why. Counter
+ * access is frequently unavailable -- containers, perf_event_paranoid,
+ * non-Linux hosts -- so construction degrades gracefully: available()
+ * turns false and the sample falls back to a CPU-time-based cycle
+ * estimate (getrusage thread time x the nominal frequency from
+ * /proc/cpuinfo) plus a structured reason string saying exactly why
+ * the hardware path is closed (syscall errno and the
+ * perf_event_paranoid setting), instead of a bare row of zeros.
  */
 
 #ifndef EBCP_UTIL_PERF_COUNTERS_HH
@@ -33,8 +33,6 @@ struct PerfSample
     std::uint64_t instructions = 0; //!< 0 when estimated: CPU time
                                     //!< cannot honestly stand in for
                                     //!< an instruction count
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t branchMisses = 0;
     double cpuSeconds = 0.0; //!< thread CPU time of the interval
     std::string reason;      //!< why hardware counters are closed
                              //!< (empty when available)
@@ -43,16 +41,6 @@ struct PerfSample
     std::string nominalSource; //!< where nominalHz came from:
                                //!< "hardware", "/proc/cpuinfo cpu MHz"
                                //!< or "unavailable"
-
-    /** Host instructions per cycle (0 when not hardware-measured). */
-    double
-    ipc() const
-    {
-        return cycles && available
-                   ? static_cast<double>(instructions) /
-                         static_cast<double>(cycles)
-                   : 0.0;
-    }
 };
 
 /**
@@ -84,8 +72,6 @@ class PerfCounters
     // One fd per event; -1 where the event failed to open.
     int cyclesFd_ = -1;
     int instructionsFd_ = -1;
-    int cacheMissesFd_ = -1;
-    int branchMissesFd_ = -1;
     bool available_ = false;
     std::string reason_;        //!< built once at construction
     double nominalHz_ = 0.0;    //!< /proc/cpuinfo MHz (fallback path)

@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit tests for the util library: bit manipulation, RNG, circular
- * buffer, configuration store and string helpers.
+ * buffer, configuration store, string helpers and host perf counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <set>
 
 #include "util/bitfield.hh"
 #include "util/circular_buffer.hh"
 #include "util/config.hh"
+#include "util/perf_counters.hh"
 #include "util/random.hh"
 #include "util/str.hh"
 #include "util/types.hh"
@@ -325,4 +328,37 @@ TEST(Str, FmtSize)
     EXPECT_EQ(fmtSize(2 * KiB), "2KB");
     EXPECT_EQ(fmtSize(64 * MiB), "64MB");
     EXPECT_EQ(fmtSize(3 * GiB), "3GB");
+}
+
+// Either the hardware counters back the sample, or the sample says
+// why not and carries a CPU-time cycle estimate tagged with its
+// frequency source; thread CPU time is measured on both paths.
+TEST(PerfCounters, SampleIsHardwareOrSaysWhyNot)
+{
+    PerfCounters pc;
+    pc.start();
+    volatile std::uint64_t sink = 0;
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(10);
+    while (std::chrono::steady_clock::now() < until)
+        sink = sink + 1;
+    pc.stop();
+
+    const PerfSample &s = pc.sample();
+    EXPECT_GT(s.cpuSeconds, 0.0);
+    EXPECT_EQ(s.available, pc.available());
+    if (s.available) {
+        EXPECT_TRUE(s.reason.empty());
+        EXPECT_EQ(s.nominalSource, "hardware");
+        EXPECT_GT(s.cycles, 0u);
+        EXPECT_GT(s.instructions, 0u);
+    } else {
+        EXPECT_FALSE(s.reason.empty());
+        EXPECT_EQ(s.instructions, 0u);
+        EXPECT_EQ(s.estimated, s.nominalHz > 0.0);
+        EXPECT_EQ(s.nominalSource, s.estimated ? "/proc/cpuinfo cpu MHz"
+                                               : "unavailable");
+        EXPECT_EQ(s.cycles,
+                  static_cast<std::uint64_t>(s.cpuSeconds * s.nominalHz));
+    }
 }

@@ -41,7 +41,7 @@ namespace ebcp::ckpt
 
 /** Bump whenever the serialized layout of any section changes; the
  * ckpt_lint CI stage enforces this. */
-constexpr std::uint32_t kCkptFormatVersion = 4;
+constexpr std::uint32_t kCkptFormatVersion = 5;
 
 /** 8-byte file magic. */
 constexpr char kCkptMagic[8] = {'E', 'B', 'C', 'P', 'C', 'K', 'P', 'T'};

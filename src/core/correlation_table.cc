@@ -40,7 +40,7 @@ CorrelationTable::indexOf(Addr key) const
     return mix64(key) & (cfg_.entries - 1);
 }
 
-CorrelationTable::Slot *
+Addr *
 CorrelationTable::slotsOf(Entry &e)
 {
     if (e.base == kNoBlock) {
@@ -69,7 +69,7 @@ CorrelationTable::slotsOf(Entry &e)
     return slotPool_.data() + e.base;
 }
 
-const CorrelationTable::Slot *
+const Addr *
 CorrelationTable::slotsOf(const Entry &e) const
 {
     return e.base == kNoBlock ? nullptr : slotPool_.data() + e.base;
@@ -90,20 +90,10 @@ CorrelationTable::lookup(Addr key, std::vector<Addr> &out,
         return false;
 
     ++tagHits_;
-    // MRU-first, so a degree-limited prefetch takes the freshest
-    // addresses. Sorted through a member scratch vector so the
-    // per-lookup path allocates nothing once warmed (stamps are
-    // unique, so the order is deterministic).
-    const Slot *slots = slotsOf(*e);
-    byStamp_.clear();
-    for (std::uint32_t i = 0; i < e->count; ++i)
-        byStamp_.emplace_back(slots[i].stamp, slots[i].addr);
-    std::sort(byStamp_.begin(), byStamp_.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first > b.first;
-              });
-    for (const auto &[stamp, addr] : byStamp_)
-        out.push_back(addr);
+    // The block is stored MRU-first, so a degree-limited prefetch
+    // takes the freshest addresses.
+    const Addr *slots = slotsOf(*e);
+    out.assign(slots, slots + e->count);
     return true;
 }
 
@@ -124,39 +114,34 @@ CorrelationTable::update(Addr key, const std::vector<Addr> &addrs)
         e.count = 0; // the arena block (if any) is reused in place
     }
 
-    Slot *slots = slotsOf(e);
-    ++updateGen_;
+    Addr *slots = slotsOf(e);
+    // Every address this update writes moves to the front, so slots
+    // [0, fresh) are exactly this update's writes and the rest keep
+    // their MRU order behind them.
+    std::uint32_t fresh = 0;
     for (Addr a : addrs) {
-        Slot *found = nullptr;
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-            if (slots[i].addr == a) {
-                found = &slots[i];
+        std::uint32_t pos = 0;
+        while (pos < e.count && slots[pos] != a)
+            ++pos;
+        if (pos == e.count) {
+            if (e.count < cfg_.addrsPerEntry) {
+                ++e.count;
+            } else if (fresh == e.count) {
+                // Every slot is fresh: the remaining (younger-epoch)
+                // addresses are dropped -- the paper's older-epoch
+                // priority.
                 break;
+            } else {
+                // LRU-replace the oldest slot this update has not
+                // written: the last one.
+                --pos;
+                ++slotReplacements_;
             }
         }
-        if (found) {
-            found->stamp = ++stampCounter_;
-            found->gen = updateGen_;
-            continue;
-        }
-        if (e.count < cfg_.addrsPerEntry) {
-            slots[e.count++] = {a, ++stampCounter_, updateGen_};
-            continue;
-        }
-        // LRU-replace, but never a slot this update already wrote:
-        // once every slot is fresh, remaining (younger-epoch)
-        // addresses are dropped -- the paper's older-epoch priority.
-        Slot *victim = nullptr;
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-            if (slots[i].gen == updateGen_)
-                continue;
-            if (!victim || slots[i].stamp < victim->stamp)
-                victim = &slots[i];
-        }
-        if (!victim)
-            break;
-        *victim = {a, ++stampCounter_, updateGen_};
-        ++slotReplacements_;
+        if (pos >= fresh)
+            ++fresh;
+        std::copy_backward(slots, slots + pos, slots + pos + 1);
+        slots[0] = a;
     }
 }
 
@@ -166,10 +151,11 @@ CorrelationTable::refreshLru(std::uint64_t index, Addr line_addr)
     Entry *e = entries_.find(index);
     if (!e)
         return false;
-    Slot *slots = slotsOf(*e);
+    Addr *slots = slotsOf(*e);
     for (std::uint32_t i = 0; i < e->count; ++i) {
-        if (slots[i].addr == line_addr) {
-            slots[i].stamp = ++stampCounter_;
+        if (slots[i] == line_addr) {
+            std::copy_backward(slots, slots + i, slots + i + 1);
+            slots[0] = line_addr;
             ++lruRefreshes_;
             return true;
         }
@@ -197,7 +183,10 @@ CorrelationTable::audit(AuditContext &ctx) const
               slotPool_.size(), " slots, not a multiple of the ",
               cfg_.addrsPerEntry, "-slot block size");
     std::vector<std::uint32_t> bases;
+    std::size_t owners = 0;
     entries_.forEach([&](std::uint64_t idx, const Entry &e) {
+        if (e.base != kNoBlock)
+            ++owners;
         if (!ctx.check(idx < cfg_.entries, "index_in_range", "entry ",
                        idx, " outside a ", cfg_.entries, "-entry table"))
             return;
@@ -224,25 +213,23 @@ CorrelationTable::audit(AuditContext &ctx) const
                        slotPool_.size(), "-slot arena"))
             return;
         bases.push_back(e.base);
-        const Slot *slots = slotsOf(e);
+        const Addr *slots = slotsOf(e);
         const std::uint32_t n =
             std::min<std::uint32_t>(e.count, cfg_.addrsPerEntry);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            ctx.check(slots[i].stamp <= stampCounter_,
-                      "stamp_not_from_future", "entry ", idx, " slot ",
-                      i, " stamp ", slots[i].stamp,
-                      " exceeds counter ", stampCounter_);
-            ctx.check(slots[i].gen <= updateGen_,
-                      "generation_not_from_future", "entry ", idx,
-                      " slot ", i, " generation ", slots[i].gen,
-                      " exceeds counter ", updateGen_);
+        for (std::uint32_t i = 0; i < n; ++i)
             for (std::uint32_t j = i + 1; j < n; ++j)
-                ctx.check(slots[i].addr != slots[j].addr,
+                ctx.check(slots[i] != slots[j],
                           "no_duplicate_successors", "entry ", idx,
-                          " records successor 0x", std::hex,
-                          slots[i].addr, std::dec, " twice");
-        }
+                          " records successor 0x", std::hex, slots[i],
+                          std::dec, " twice");
     });
+    // Entries are never erased, so every carved block stays owned
+    // until clear() drops the map and the arena together.
+    ctx.check(slotPool_.size() == owners * cfg_.addrsPerEntry,
+              "arena_blocks_owned", "slot arena holds ",
+              slotPool_.size(), " slots but only ", owners,
+              " entries own a ", cfg_.addrsPerEntry,
+              "-slot block -- the rest are unreachable");
     std::sort(bases.begin(), bases.end());
     for (std::size_t i = 1; i < bases.size(); ++i)
         ctx.check(bases[i] != bases[i - 1], "blocks_not_shared",
@@ -259,9 +246,9 @@ CorrelationTable::corruptForTest()
     const std::uint64_t idx = (indexOf(tag) + 1) & (cfg_.entries - 1);
     Entry &e = entries_[idx];
     e.tag = tag;
-    Slot *slots = slotsOf(e);
+    Addr *slots = slotsOf(e);
     if (e.count == 0)
-        slots[e.count++] = {0x1000, ++stampCounter_, updateGen_};
+        slots[e.count++] = 0x1000;
 }
 
 
@@ -269,10 +256,14 @@ void
 CorrelationTable::ckpt(ckpt::Archiver &ar)
 {
     // Arena block handles are host-run-local, so the checkpoint
-    // stores each entry's slots by value; restore re-carves blocks in
-    // insertion order. Handle values differ across save/restore but
-    // nothing observable depends on them (slot order within an entry
-    // is preserved exactly).
+    // stores each entry's addresses by value, MRU first; restore
+    // empties the table (map and arena together, so a used table's
+    // blocks are not leaked) and re-carves blocks in key order.
+    // Handle values differ across save/restore but nothing observable
+    // depends on them (slot order within an entry is preserved
+    // exactly).
+    if (!ar.saving())
+        clear();
     ckpt::ckptFlatMap(ar, entries_, [&](ckpt::Archiver &a, Entry &e) {
         a.u64(e.tag);
         std::uint64_t n = e.count;
@@ -280,36 +271,25 @@ CorrelationTable::ckpt(ckpt::Archiver &ar)
         if (!a.ok())
             return;
         if (a.saving()) {
-            const Slot *slots = slotsOf(std::as_const(e));
+            const Addr *slots = slotsOf(std::as_const(e));
             for (std::uint64_t i = 0; i < n; ++i) {
-                Slot s = slots[i];
-                a.u64(s.addr);
-                a.u64(s.stamp);
-                a.u64(s.gen);
+                Addr addr = slots[i];
+                a.u64(addr);
             }
-        } else {
-            if (n > cfg_.addrsPerEntry) {
-                a.fail(corruptionError(
-                    "checkpoint correlation-table entry holds ", n,
-                    " slots but the configured cap is ",
-                    cfg_.addrsPerEntry));
-                return;
-            }
-            Slot *slots = n ? slotsOf(e) : nullptr;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Slot s;
-                a.u64(s.addr);
-                a.u64(s.stamp);
-                a.u64(s.gen);
-                if (!a.ok())
-                    return;
-                slots[i] = s;
-            }
-            e.count = static_cast<std::uint32_t>(n);
+            return;
         }
+        if (n > cfg_.addrsPerEntry) {
+            a.fail(corruptionError(
+                "checkpoint correlation-table entry holds ", n,
+                " slots but the configured cap is ",
+                cfg_.addrsPerEntry));
+            return;
+        }
+        Addr *slots = n ? slotsOf(e) : nullptr;
+        for (std::uint64_t i = 0; i < n; ++i)
+            a.u64(slots[i]);
+        e.count = static_cast<std::uint32_t>(n);
     });
-    ar.u64(stampCounter_);
-    ar.u64(updateGen_);
     stats_.ckpt(ar);
 }
 

@@ -14,12 +14,24 @@
  *
  * Host layout is SoA: the hash map's payload is a small POD record
  * (tag + arena block handle + live count) and every entry's successor
- * slots live in a shared flat arena, carved into fixed
- * addrsPerEntry-sized blocks that are allocated on first touch and
- * recycled in place on tag reallocation. Lookups therefore touch one
- * small map payload plus one contiguous slot block -- no per-entry
+ * addresses live in a shared flat arena of plain Addrs, carved into
+ * fixed addrsPerEntry-sized blocks that are allocated on first touch
+ * and recycled in place on tag reallocation. Lookups therefore touch
+ * one small map payload plus one contiguous block -- no per-entry
  * vector headers, no scattered heap nodes, and zero steady-state
  * allocation once the working set's blocks exist.
+ *
+ * Like the paper's entry (one LRU field beside the addresses), a
+ * block keeps no per-slot recency. It is kept in MRU order instead:
+ * every write and every refreshLru() hit moves its address to the
+ * front, so block order is last-use order, a lookup is a plain copy
+ * and the LRU slot is the last one. An update's own writes are
+ * therefore always a prefix of the block, which makes "never evict a
+ * slot this update wrote" a count of that prefix: the oldest slot the
+ * update has not written is the last slot, unless the prefix covers
+ * the whole block. Victims and lookup order are those of a per-slot
+ * timestamp LRU; tests/test_correlation_table.cc checks them against
+ * a naive list-based reference model.
  */
 
 #ifndef EBCP_CORE_CORRELATION_TABLE_HH
@@ -96,7 +108,7 @@ class CorrelationTable
     void update(Addr key, const std::vector<Addr> &addrs);
 
     /**
-     * Refresh the LRU stamp of @p line_addr within entry @p index
+     * Make @p line_addr the most recently used slot of entry @p index
      * (prefetch-buffer hit feedback, Section 3.4.3).
      * @return true if the address was found in the entry.
      */
@@ -117,8 +129,8 @@ class CorrelationTable
     /** Re-derive structural invariants: population within the
      * configured entry count, every resident entry keyed by the index
      * its own tag hashes to, successor slots within the per-entry cap
-     * and free of duplicates, and stamps/generations never from the
-     * future. */
+     * and free of duplicates, and every arena block owned by exactly
+     * one entry. */
     void audit(AuditContext &ctx) const;
 
     /** Test-only: plant an entry whose tag indexes elsewhere so
@@ -129,13 +141,6 @@ class CorrelationTable
     void ckpt(ckpt::Archiver &ar);
 
   private:
-    struct Slot
-    {
-        Addr addr = InvalidAddr;
-        std::uint64_t stamp = 0;
-        std::uint64_t gen = 0; //!< update generation that wrote it
-    };
-
     /** Arena block handle of an entry that has no slots yet. */
     static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
 
@@ -151,19 +156,15 @@ class CorrelationTable
     };
 
     /** Arena block of @p e, allocating one on first use. */
-    Slot *slotsOf(Entry &e);
-    const Slot *slotsOf(const Entry &e) const;
+    Addr *slotsOf(Entry &e);
+    const Addr *slotsOf(const Entry &e) const;
 
     CorrTableConfig cfg_;
     FlatMap<Entry> entries_;
     /** Shared successor-slot arena: fixed addrsPerEntry-sized blocks,
-     * never individually freed (clear() resets the whole pool). */
-    std::vector<Slot> slotPool_;
-    //! lookup() MRU-sort scratch: (stamp, addr), allocation-free once
-    //! warmed
-    std::vector<std::pair<std::uint64_t, Addr>> byStamp_;
-    std::uint64_t stampCounter_ = 0;
-    std::uint64_t updateGen_ = 0;
+     * each in MRU order, never individually freed (clear() resets the
+     * whole pool). */
+    std::vector<Addr> slotPool_;
 
     StatGroup stats_;
     Scalar lookups_{"lookups", "table reads for prediction"};

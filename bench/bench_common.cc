@@ -116,7 +116,7 @@ improvementRow(const std::string &workload,
 namespace
 {
 
-/** Sweep durability/telemetry knobs shared by every BenchSweep bench:
+/** Sweep telemetry knobs shared by every BenchSweep bench:
  * "telemetry_out=PATH" streams per-run progress as CRC-tagged JSON
  * lines, "metrics_out=PATH" keeps a Prometheus-style snapshot fresh
  * while the sweep runs (see harness/telemetry.hh). */

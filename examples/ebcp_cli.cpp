@@ -282,21 +282,9 @@ struct CliTelemetry
         }
         if (!stream)
             return;
-        stream->emitDeterministic("sweep_begin",
-                                  "{\"runs\":1,\"resumed\":0}");
-        stream->emitLive("run_state", stateJson("running"));
-    }
-
-    std::string
-    stateJson(const char *state) const
-    {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("label", label);
-        w.kv("state", state);
-        w.endObject();
-        return os.str();
+        stream->emitDeterministic("sweep_begin", harness::sweepBeginJson(1));
+        stream->emitLive("run_state",
+                         harness::liveRunStateJson(label, "running"));
     }
 
     void
@@ -305,54 +293,28 @@ struct CliTelemetry
         if (finished)
             return;
         finished = true;
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+        harness::MetricsSnapshot m;
+        m.runsTotal = 1;
+        m.completed = s.ok() ? 1 : 0;
+        m.failed = s.ok() ? 0 : 1;
+        m.measuredInsts = s.ok() ? insts : 0;
+        m.jobs = 1;
+        m.elapsedSeconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+        m.instsPerSec = m.elapsedSeconds > 0.0
+                            ? static_cast<double>(m.measuredInsts) /
+                                  m.elapsedSeconds
+                            : 0.0;
+        m.done = true;
         if (stream) {
-            std::ostringstream os;
-            JsonWriter w(os);
-            w.beginObject();
-            w.kv("index", std::uint64_t(0));
-            w.kv("label", label);
-            w.kv("state", s.ok() ? "done" : "failed");
-            w.kv("ok", s.ok());
-            w.kv("code", statusCodeName(s.code()));
-            w.kv("attempts", 1u);
-            w.kv("from_journal", false);
-            w.kv("warm_forked", false);
-            w.kv("cold_fallback", false);
-            w.kv("insts", s.ok() ? insts : 0);
-            w.endObject();
-            stream->emitDeterministic("run_state", os.str());
-            std::ostringstream es;
-            JsonWriter ew(es);
-            ew.beginObject();
-            ew.kv("runs", std::uint64_t(1));
-            ew.kv("completed", std::uint64_t(s.ok() ? 1 : 0));
-            ew.kv("failed", std::uint64_t(s.ok() ? 0 : 1));
-            ew.kv("measured_insts", s.ok() ? insts : 0);
-            ew.kv("resumed", std::uint64_t(0));
-            ew.kv("retries", std::uint64_t(0));
-            ew.kv("warm_builds", std::uint64_t(0));
-            ew.kv("warm_forks", std::uint64_t(0));
-            ew.kv("cold_fallbacks", std::uint64_t(0));
-            ew.endObject();
-            stream->emitDeterministic("sweep_end", es.str());
+            stream->emitDeterministic(
+                "run_state",
+                harness::terminalRunStateJson(0, label, s, insts, false,
+                                              false));
+            stream->emitDeterministic("sweep_end", harness::sweepEndJson(m));
         }
         if (!metricsPath.empty()) {
-            harness::MetricsSnapshot m;
-            m.runsTotal = 1;
-            m.completed = s.ok() ? 1 : 0;
-            m.failed = s.ok() ? 0 : 1;
-            m.measuredInsts = s.ok() ? insts : 0;
-            m.jobs = 1;
-            m.elapsedSeconds = elapsed;
-            m.instsPerSec =
-                elapsed > 0.0 && s.ok()
-                    ? static_cast<double>(insts) / elapsed
-                    : 0.0;
-            m.done = true;
             Status ms = harness::writeMetricsSnapshot(metricsPath, m);
             if (!ms.ok())
                 warn("metrics snapshot failed: ", ms.toString());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fuzz target: whole-simulator checkpoint restore, in both sweep
- * policies.
+ * Fuzz target: whole-simulator checkpoint restore, under both
+ * ckpt_policy= modes.
  *
  * Input bytes are treated as an EBCPCKPT container and restored into
  * a freshly built Simulator whose configuration matches the corpus
@@ -11,11 +11,11 @@
  *  - Strict mode contract: restoreCheckpoint() either succeeds or
  *    returns a coded Status with a diagnostic; a failed restore must
  *    not crash, leak (ASan), or read out of bounds.
- *  - Rebuild mode contract (what SweepRunner does on CkptPolicy::
- *    Rebuild): after a failed restore the same configuration must
- *    still support a cold warm-up + measurement -- i.e. a corrupt
- *    checkpoint poisons nothing beyond the Simulator instance it was
- *    restored into.
+ *  - Rebuild mode contract (ckpt_policy=rebuild, and what SweepRunner
+ *    does with a bad warm checkpoint): after a failed restore the
+ *    same configuration must still support a cold warm-up +
+ *    measurement -- i.e. a corrupt checkpoint poisons nothing beyond
+ *    the Simulator instance it was restored into.
  */
 
 #include <cstdint>

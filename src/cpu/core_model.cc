@@ -184,37 +184,7 @@ void
 CoreModel::run(TraceSource &src, std::uint64_t count)
 {
     EBCP_PROFILE_SCOPE(CoreLoop);
-    if (!wallDeadlineArmed_) {
-        runBounded(src, count);
-        return;
-    }
-    // Chunked execution keeps the deadline entirely off the hot
-    // retirement loop: one clock read per chunk, and a run with no
-    // deadline armed takes the plain path above at zero cost (the
-    // perf-smoke gate holds the armed cost under 2%).
-    constexpr std::uint64_t kDeadlineChunk = 8192;
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-        const std::uint64_t chunk =
-            std::min(kDeadlineChunk, remaining);
-        const std::uint64_t before = s_.insts;
-        runBounded(src, chunk);
-        const std::uint64_t done = s_.insts - before;
-        remaining -= std::min(done, remaining);
-        if (watchdogTripped_ || done < chunk)
-            return; // tripped, or the source ran dry
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= wallDeadline_) {
-            watchdogTripped_ = true;
-            wallDeadlineTripped_ = true;
-            watchdogGap_ = 0;
-            watchdogWallSeconds_ =
-                std::chrono::duration<double>(now - wall_start)
-                    .count();
-            return;
-        }
-    }
+    runBounded(src, count);
 }
 
 void

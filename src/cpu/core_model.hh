@@ -24,7 +24,6 @@
 #define EBCP_CPU_CORE_MODEL_HH
 
 #include <array>
-#include <chrono>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
@@ -65,10 +64,9 @@ class CoreModel
     /** Process one instruction; @return its timing. */
     InstTiming process(const TraceRecord &rec);
 
-    /** Run @p count instructions from @p src. With a wall deadline
-     * armed, execution proceeds in ~8k-instruction chunks with a
-     * clock check between chunks; otherwise it is a single
-     * uninterrupted pass with zero deadline cost. */
+    /** Run @p count instructions from @p src in one uninterrupted
+     * pass; stops early only when the watchdog trips or the source
+     * runs dry. */
     void run(TraceSource &src, std::uint64_t count);
 
     /**
@@ -120,29 +118,6 @@ class CoreModel
 
     /** Wall-clock seconds inside the run() call that tripped. */
     double watchdogWallSeconds() const { return watchdogWallSeconds_; }
-
-    /**
-     * Arm an absolute wall-clock deadline. Once it passes, run()
-     * stops through the watchdog-trip path (watchdogTripped() turns
-     * true with a zero gap and wallDeadlineTripped() set), so the
-     * caller gets the same Stalled status + diagnostic a liveness
-     * failure would produce. The check runs once every few thousand
-     * instructions, so an unarmed deadline costs nothing and an armed
-     * one costs one clock read per ~8k instructions. Run-scoped like
-     * watchdog arming: not part of checkpointed state.
-     */
-    void
-    setWallDeadline(std::chrono::steady_clock::time_point deadline)
-    {
-        wallDeadline_ = deadline;
-        wallDeadlineArmed_ = true;
-    }
-
-    void clearWallDeadline() { wallDeadlineArmed_ = false; }
-
-    /** True when the last trip came from the wall deadline, not a
-     * retire gap. */
-    bool wallDeadlineTripped() const { return wallDeadlineTripped_; }
 
     /** ROB entries retiring after tick @p t (watchdog diagnostics:
      * pass the last healthy retire tick to see what was in flight
@@ -266,18 +241,14 @@ class CoreModel
     bool watchdogTripped_ = false;
     double watchdogWallSeconds_ = 0.0;
 
-    /** The deadline-free retirement loop behind run(): picks the
-     * audited or the unaudited instance of retireLoop() once. */
+    /** The retirement loop behind run(): picks the audited or the
+     * unaudited instance of retireLoop() once. */
     void runBounded(TraceSource &src, std::uint64_t count);
 
     /** One loop body, instantiated twice. The unaudited instance has
      * no state write-backs, record screening or retire hook. */
     template <bool Audited>
     void retireLoop(TraceSource &src, std::uint64_t count);
-
-    std::chrono::steady_clock::time_point wallDeadline_{};
-    bool wallDeadlineArmed_ = false;
-    bool wallDeadlineTripped_ = false;
 
     Auditor *auditor_ = nullptr;
     std::uint64_t malformedRecords_ = 0;

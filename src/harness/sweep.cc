@@ -8,14 +8,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
-#include "harness/journal.hh"
 #include "harness/telemetry.hh"
 #include "sim/api.hh"
 #include "trace/workloads.hh"
-#include "util/random.hh"
 
 namespace ebcp::harness
 {
@@ -46,14 +43,13 @@ defaultJobs()
     return n ? n : 1;
 }
 
-namespace
+std::uint64_t
+warmFingerprint(const RunDesc &d)
 {
-
-/** Everything result-shaping in @p d, in canonical archiver bytes. */
-void
-serializeDescIdentity(ckpt::Archiver &ar, const RunDesc &d,
-                      bool include_measure)
-{
+    // Everything in d that shapes its warm state, in canonical
+    // archiver bytes.
+    std::string bytes;
+    ckpt::Archiver ar = ckpt::Archiver::saver(bytes);
     std::string workload = d.workload;
     std::uint64_t seed = d.seed;
     unsigned cores = d.cores;
@@ -64,33 +60,7 @@ serializeDescIdentity(ckpt::Archiver &ar, const RunDesc &d,
     ar.u64(warm);
     serializeConfigIdentity(ar, d.cfg);
     serializePrefetcherIdentity(ar, d.pf);
-    if (include_measure) {
-        std::uint64_t measure = d.scale.measure;
-        ar.u64(measure);
-    }
-}
-
-std::uint64_t
-descHash(const RunDesc &d, bool include_measure)
-{
-    std::string bytes;
-    ckpt::Archiver ar = ckpt::Archiver::saver(bytes);
-    serializeDescIdentity(ar, d, include_measure);
     return ckpt::fnv1a64(bytes.data(), bytes.size());
-}
-
-} // namespace
-
-std::uint64_t
-descFingerprint(const RunDesc &d)
-{
-    return descHash(d, true);
-}
-
-std::uint64_t
-warmFingerprint(const RunDesc &d)
-{
-    return descHash(d, false);
 }
 
 std::vector<std::size_t>
@@ -110,38 +80,6 @@ dispatchOrder(const std::vector<RunDesc> &descs)
     return order;
 }
 
-std::uint64_t
-retryBackoffMs(const RetryPolicy &policy, std::uint64_t run_key,
-               unsigned attempt)
-{
-    if (policy.baseDelayMs == 0 || policy.maxDelayMs == 0)
-        return 0;
-    const unsigned exponent =
-        std::min(attempt > 0 ? attempt - 1 : 0u, 20u);
-    const std::uint64_t raw = std::min(policy.baseDelayMs << exponent,
-                                       policy.maxDelayMs);
-    // Deterministic per-(run, attempt) jitter in [raw/2, raw]: a
-    // fixed policy seed fixes the whole schedule, and distinct runs
-    // retrying the same attempt never thundering-herd in lockstep.
-    Pcg32 rng(policy.seed ^ run_key, 0x5eedba11ULL + attempt);
-    const std::uint64_t half = raw / 2;
-    const std::uint64_t span = raw - half + 1;
-    return half + rng.below(static_cast<std::uint32_t>(
-                      std::min<std::uint64_t>(span, 0xffffffffULL)));
-}
-
-bool
-statusRetryable(const Status &s)
-{
-    switch (s.code()) {
-      case StatusCode::InvalidArgument:
-      case StatusCode::NotFound:
-        return false; // deterministic bad input; retrying cannot help
-      default:
-        return !s.ok();
-    }
-}
-
 namespace
 {
 
@@ -154,23 +92,21 @@ struct WarmEntry
 };
 
 /**
- * The warm checkpoint each of @p pending forks from, indexed like
- * @p descs: an entry of @p entries for every run whose warm
- * fingerprint another pending run shares, null for the rest. Those
- * run cold; a checkpoint that nothing else forks would only add a
- * save, a restore and a cached blob to the run.
+ * The warm checkpoint each of @p descs forks from: an entry of
+ * @p entries for every run whose warm fingerprint another run shares,
+ * null for the rest. Those run cold; a checkpoint that nothing else
+ * forks would only add a save, a restore and a cached blob to the run.
  */
 std::vector<WarmEntry *>
 planWarmReuse(const std::vector<RunDesc> &descs,
-              const std::vector<std::size_t> &pending,
               std::map<std::uint64_t, WarmEntry> &entries)
 {
     std::vector<std::uint64_t> key(descs.size());
     std::map<std::uint64_t, std::size_t> sharers;
-    for (std::size_t i : pending)
+    for (std::size_t i = 0; i < descs.size(); ++i)
         ++sharers[key[i] = warmFingerprint(descs[i])];
     std::vector<WarmEntry *> warm(descs.size(), nullptr);
-    for (std::size_t i : pending)
+    for (std::size_t i = 0; i < descs.size(); ++i)
         if (sharers[key[i]] > 1)
             warm[i] = &entries[key[i]];
     return warm;
@@ -179,7 +115,6 @@ planWarmReuse(const std::vector<RunDesc> &descs,
 /** Per-sweep execution context threaded into every run. */
 struct ExecContext
 {
-    SweepOptions opts;
     std::atomic<std::uint64_t> *warmBuilds = nullptr;
     std::atomic<std::uint64_t> *warmForks = nullptr;
     std::atomic<std::uint64_t> *coldFallbacks = nullptr;
@@ -188,43 +123,6 @@ struct ExecContext
     CkptFaultKind corruptKind = CkptFaultKind::CrcFlip;
     std::uint64_t corruptSeed = 1;
 };
-
-/** Rendered `data` object of a live run_state record. */
-std::string
-liveRunStateJson(const RunDesc &d, const char *state)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("label", runLabel(d));
-    w.kv("state", state);
-    w.endObject();
-    return os.str();
-}
-
-void
-armDeadline(Simulator &sim, double seconds)
-{
-    if (seconds <= 0.0)
-        return;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds));
-    for (unsigned i = 0; i < sim.cores(); ++i)
-        sim.core(i).setWallDeadline(deadline);
-}
-
-/** Name the failure when the wall budget, not a retire gap, tripped. */
-Status
-timeoutContext(Status s, Simulator &sim, double seconds)
-{
-    for (unsigned i = 0; i < sim.cores(); ++i)
-        if (!s.ok() && sim.core(i).wallDeadlineTripped())
-            return s.withContext(logFormat("run exceeded the ", seconds,
-                                           "s wall-clock budget"));
-    return s;
-}
 
 /** The per-core trace-source stacks + effective prefetcher params of
  * one run; mirrors examples/ebcp_cli's wiring, including the
@@ -281,7 +179,7 @@ buildSources(const RunDesc &d)
 
 /** One run with a full (cold) warm-up window. */
 RunResult
-executeCold(const RunDesc &d, const ExecContext &ctx)
+executeCold(const RunDesc &d)
 {
     RunResult out;
     RunSources rs = buildSources(d);
@@ -290,13 +188,10 @@ executeCold(const RunDesc &d, const ExecContext &ctx)
         return out;
     }
     Simulator sim(d.cfg, rs.pf, d.cores);
-    armDeadline(sim, ctx.opts.runTimeoutSeconds);
     StatusOr<SimResults> r =
         sim.tryRun(rs.sources, d.scale.warm, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim,
-                                    ctx.opts.runTimeoutSeconds)
-                         .withContext(runLabel(d));
+        out.status = r.status().withContext(runLabel(d));
         return out;
     }
     out.results = r.take();
@@ -304,25 +199,24 @@ executeCold(const RunDesc &d, const ExecContext &ctx)
 }
 
 /** One run forking its measurement from the shared warm checkpoint
- * @p entry; degrades per CkptPolicy when the checkpoint is bad. */
+ * @p entry; runs cold instead when the checkpoint is bad. */
 RunResult
 executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
 {
     std::call_once(entry.once, [&] {
         if (ctx.telemetry)
             ctx.telemetry->emitLive(
-                "run_state", liveRunStateJson(d, "warm-building"));
+                "run_state",
+                liveRunStateJson(runLabel(d), "warm-building"));
         RunSources ws = buildSources(d);
         if (!ws.status.ok()) {
             entry.status = ws.status;
             return;
         }
         Simulator wsim(d.cfg, ws.pf, d.cores);
-        armDeadline(wsim, ctx.opts.runTimeoutSeconds);
         Status s = wsim.runWarm(ws.sources, d.scale.warm);
         if (!s.ok()) {
-            entry.status = timeoutContext(std::move(s), wsim,
-                                          ctx.opts.runTimeoutSeconds);
+            entry.status = std::move(s);
             return;
         }
         StatusOr<std::string> blob = wsim.serializeCheckpoint(ws.sources);
@@ -340,53 +234,39 @@ executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
     auto coldFallback = [&](const char *why,
                             const Status &cause) -> RunResult {
         warn("sweep run ", runLabel(d), ": ", why, " (",
-             cause.toString(),
-             "); falling back to a cold warm-up (ckpt_policy=rebuild)");
-        RunResult r = executeCold(d, ctx);
+             cause.toString(), "); falling back to a cold warm-up");
+        RunResult r = executeCold(d);
         r.coldFallback = true;
         if (ctx.coldFallbacks)
             ctx.coldFallbacks->fetch_add(1, std::memory_order_relaxed);
         return r;
     };
 
-    RunResult out;
-    if (!entry.status.ok()) {
-        if (ctx.opts.ckptPolicy == ckpt::CkptPolicy::Strict) {
-            out.status = entry.status.withContext(runLabel(d));
-            return out;
-        }
+    if (!entry.status.ok())
         return coldFallback("warm checkpoint unavailable", entry.status);
-    }
 
+    RunResult out;
     RunSources rs = buildSources(d);
     if (!rs.status.ok()) {
         out.status = rs.status;
         return out;
     }
     Simulator sim(d.cfg, rs.pf, d.cores);
-    armDeadline(sim, ctx.opts.runTimeoutSeconds);
     Status restored = sim.restoreCheckpoint(entry.blob, rs.sources);
     if (!restored.ok()) {
         // The failed restore half-wrote the simulator and the sources;
         // both are abandoned here, never run.
-        if (ctx.opts.ckptPolicy == ckpt::CkptPolicy::Strict) {
-            out.status = restored.withContext(
-                logFormat(runLabel(d), ": warm checkpoint restore"));
-            return out;
-        }
         return coldFallback("warm checkpoint restore failed", restored);
     }
     out.warmForked = true;
     if (ctx.warmForks)
         ctx.warmForks->fetch_add(1, std::memory_order_relaxed);
     if (ctx.telemetry)
-        ctx.telemetry->emitLive("run_state",
-                                liveRunStateJson(d, "warm-forked"));
+        ctx.telemetry->emitLive(
+            "run_state", liveRunStateJson(runLabel(d), "warm-forked"));
     StatusOr<SimResults> r = sim.runMeasure(rs.sources, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim,
-                                    ctx.opts.runTimeoutSeconds)
-                         .withContext(runLabel(d));
+        out.status = r.status().withContext(runLabel(d));
         return out;
     }
     out.results = r.take();
@@ -398,7 +278,7 @@ RunResult
 executeRunCtx(const RunDesc &d, const ExecContext &ctx, WarmEntry *warm)
 {
     try {
-        return warm ? executeWarm(d, ctx, *warm) : executeCold(d, ctx);
+        return warm ? executeWarm(d, ctx, *warm) : executeCold(d);
     } catch (const std::exception &e) {
         RunResult out;
         out.status = Status(StatusCode::Corruption,
@@ -413,8 +293,7 @@ executeRunCtx(const RunDesc &d, const ExecContext &ctx, WarmEntry *warm)
 RunResult
 executeRun(const RunDesc &d)
 {
-    ExecContext ctx;
-    return executeRunCtx(d, ctx, nullptr);
+    return executeRunCtx(d, ExecContext{}, nullptr);
 }
 
 SweepRunner::SweepRunner(unsigned jobs, SweepOptions opts)
@@ -425,40 +304,7 @@ std::vector<RunResult>
 SweepRunner::run(const std::vector<RunDesc> &descs)
 {
     const auto start = std::chrono::steady_clock::now();
-
     std::vector<RunResult> results(descs.size());
-    std::vector<std::uint64_t> keys(descs.size());
-    std::vector<char> todo(descs.size(), 1);
-
-    std::unique_ptr<SweepJournal> journal;
-    if (!opts_.journalPath.empty()) {
-        journal = std::make_unique<SweepJournal>(opts_.journalPath);
-        Status js = journal->load();
-        if (!js.ok()) {
-            // A journal that cannot even be read disables durability
-            // for this invocation; it must never fail the sweep.
-            warn("sweep journal disabled: ", js.toString());
-            journal.reset();
-        }
-    }
-
-    std::size_t resumed = 0;
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-        keys[i] = descFingerprint(descs[i]);
-        if (!journal)
-            continue;
-        JournalRecord rec;
-        if (journal->lookup(keys[i], rec)) {
-            results[i].status = rec.status();
-            results[i].results = rec.results;
-            results[i].attempts = rec.attempts;
-            results[i].warmForked = rec.warmForked;
-            results[i].coldFallback = rec.coldFallback;
-            results[i].fromJournal = true;
-            todo[i] = 0;
-            ++resumed;
-        }
-    }
 
     std::unique_ptr<TelemetryStream> telemetry;
     if (!opts_.telemetryPath.empty()) {
@@ -473,21 +319,9 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
         }
     }
 
-    // Live progress counters, shared with the heartbeat thread and
-    // seeded with the journal-replayed results.
+    // Live progress counters, shared with the heartbeat thread.
     std::atomic<std::uint64_t> liveCompleted{0}, liveFailed{0},
         liveInsts{0};
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-        if (todo[i])
-            continue;
-        if (results[i].ok()) {
-            liveCompleted.fetch_add(1, std::memory_order_relaxed);
-            liveInsts.fetch_add(results[i].results.insts,
-                                std::memory_order_relaxed);
-        } else {
-            liveFailed.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
 
     // Deterministic records: sweep_begin, then one terminal run_state
     // per descriptor in submission order. Finished runs park in a
@@ -498,28 +332,13 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
     std::vector<std::string> detSlot(descs.size());
     std::vector<char> detReady(descs.size(), 0);
     std::size_t detNext = 0;
-    auto terminalRunStateJson = [&](std::size_t i, const RunResult &r) {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("index", static_cast<std::uint64_t>(i));
-        w.kv("label", runLabel(descs[i]));
-        w.kv("state", r.ok() ? "done" : "failed");
-        w.kv("ok", r.ok());
-        w.kv("code", statusCodeName(r.status.code()));
-        w.kv("attempts", r.attempts);
-        w.kv("from_journal", r.fromJournal);
-        w.kv("warm_forked", r.warmForked);
-        w.kv("cold_fallback", r.coldFallback);
-        w.kv("insts", r.ok() ? r.results.insts : std::uint64_t(0));
-        w.endObject();
-        return os.str();
-    };
     auto emitTerminal = [&](std::size_t i, const RunResult &r) {
         if (!telemetry)
             return;
         std::lock_guard<std::mutex> lock(detMu);
-        detSlot[i] = terminalRunStateJson(i, r);
+        detSlot[i] = terminalRunStateJson(
+            i, runLabel(descs[i]), r.status, r.results.insts,
+            r.warmForked, r.coldFallback);
         detReady[i] = 1;
         while (detNext < detReady.size() && detReady[detNext]) {
             telemetry->emitDeterministic("run_state", detSlot[detNext]);
@@ -528,37 +347,24 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
         }
     };
     if (telemetry) {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("runs", static_cast<std::uint64_t>(descs.size()));
-        w.kv("resumed", static_cast<std::uint64_t>(resumed));
-        w.endObject();
-        telemetry->emitDeterministic("sweep_begin", os.str());
-        for (std::size_t i = 0; i < descs.size(); ++i)
-            if (todo[i])
-                telemetry->emitLive(
-                    "run_state", liveRunStateJson(descs[i], "queued"));
-        for (std::size_t i = 0; i < descs.size(); ++i)
-            if (!todo[i])
-                emitTerminal(i, results[i]);
+        telemetry->emitDeterministic("sweep_begin",
+                                     sweepBeginJson(descs.size()));
+        for (const RunDesc &d : descs)
+            telemetry->emitLive("run_state",
+                                liveRunStateJson(runLabel(d), "queued"));
     }
 
-    // The plan covers only the pending runs: the order workers claim
-    // them in, and the warm checkpoint (if any) each one forks from.
-    std::vector<std::size_t> order;
-    for (std::size_t i : dispatchOrder(descs))
-        if (todo[i])
-            order.push_back(i);
+    // The plan: the order workers claim runs in, and the warm
+    // checkpoint (if any) each one forks from.
+    const std::vector<std::size_t> order = dispatchOrder(descs);
     std::map<std::uint64_t, WarmEntry> warmEntries;
     const std::vector<WarmEntry *> warmOf =
-        opts_.warmReuse ? planWarmReuse(descs, order, warmEntries)
+        opts_.warmReuse ? planWarmReuse(descs, warmEntries)
                         : std::vector<WarmEntry *>(descs.size(), nullptr);
 
-    std::atomic<std::uint64_t> retries{0}, backoffMs{0}, warmBuilds{0},
-        warmForks{0}, coldFallbacks{0};
+    std::atomic<std::uint64_t> warmBuilds{0}, warmForks{0},
+        coldFallbacks{0};
     ExecContext ctx;
-    ctx.opts = opts_;
     ctx.warmBuilds = &warmBuilds;
     ctx.warmForks = &warmForks;
     ctx.coldFallbacks = &coldFallbacks;
@@ -567,30 +373,12 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
     ctx.corruptKind = corruptKind_;
     ctx.corruptSeed = corruptSeed_;
 
-    const unsigned max_attempts = std::max(1u, opts_.retry.maxAttempts);
     auto runOne = [&](std::size_t i) {
-        const RunDesc &d = descs[i];
-        RunResult out;
-        for (unsigned attempt = 1;; ++attempt) {
-            if (ctx.telemetry)
-                ctx.telemetry->emitLive(
-                    "run_state",
-                    liveRunStateJson(d, attempt > 1 ? "retrying"
-                                                    : "running"));
-            out = executeRunCtx(d, ctx, warmOf[i]);
-            out.attempts = attempt;
-            if (out.ok() || attempt >= max_attempts ||
-                !statusRetryable(out.status))
-                break;
-            const std::uint64_t delay =
-                retryBackoffMs(opts_.retry, keys[i], attempt);
-            backoffMs.fetch_add(delay, std::memory_order_relaxed);
-            retries.fetch_add(1, std::memory_order_relaxed);
-            if (opts_.retry.sleep && delay)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-        }
-        results[i] = out;
+        if (telemetry)
+            telemetry->emitLive(
+                "run_state", liveRunStateJson(runLabel(descs[i]), "running"));
+        results[i] = executeRunCtx(descs[i], ctx, warmOf[i]);
+        const RunResult &out = results[i];
         if (out.ok()) {
             liveCompleted.fetch_add(1, std::memory_order_relaxed);
             liveInsts.fetch_add(out.results.insts,
@@ -599,19 +387,6 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
             liveFailed.fetch_add(1, std::memory_order_relaxed);
         }
         emitTerminal(i, out);
-        if (journal) {
-            JournalRecord rec;
-            rec.key = keys[i];
-            rec.code = out.status.code();
-            rec.message = out.status.message();
-            rec.results = out.results;
-            rec.attempts = out.attempts;
-            rec.warmForked = out.warmForked;
-            rec.coldFallback = out.coldFallback;
-            Status as = journal->append(rec);
-            if (!as.ok())
-                warn("sweep journal append failed: ", as.toString());
-        }
     };
 
     const unsigned workers = static_cast<unsigned>(
@@ -623,12 +398,10 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
         m.completed = liveCompleted.load(std::memory_order_relaxed);
         m.failed = liveFailed.load(std::memory_order_relaxed);
         m.measuredInsts = liveInsts.load(std::memory_order_relaxed);
-        m.retries = retries.load(std::memory_order_relaxed);
         m.warmBuilds = warmBuilds.load(std::memory_order_relaxed);
         m.warmForks = warmForks.load(std::memory_order_relaxed);
         m.coldFallbacks =
             coldFallbacks.load(std::memory_order_relaxed);
-        m.resumed = resumed;
         m.jobs = workers ? workers : 1;
         m.elapsedSeconds =
             std::chrono::duration<double>(
@@ -640,29 +413,6 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                             : 0.0;
         m.done = done;
         return m;
-    };
-    auto heartbeatJson = [&](const MetricsSnapshot &m) {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("runs", m.runsTotal);
-        w.kv("completed", m.completed);
-        w.kv("failed", m.failed);
-        w.kv("measured_insts", m.measuredInsts);
-        w.kv("insts_per_sec", m.instsPerSec);
-        w.kv("elapsed_seconds", m.elapsedSeconds);
-        // Naive proportional ETA: wrong early, honest late -- and
-        // never pretends precision it does not have.
-        const std::uint64_t finished = m.completed + m.failed;
-        const std::uint64_t remaining =
-            m.runsTotal - std::min(m.runsTotal, finished);
-        w.kv("eta_seconds",
-             finished > 0 ? m.elapsedSeconds *
-                                static_cast<double>(remaining) /
-                                static_cast<double>(finished)
-                          : 0.0);
-        w.endObject();
-        return os.str();
     };
 
     std::thread heartbeat;
@@ -726,55 +476,23 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
         heartbeat.join();
     }
 
+    // Every run has finished, so the live counters are final.
+    const MetricsSnapshot totals = snapshotNow(true);
     stats_ = SweepStats{};
-    stats_.launched = descs.size();
-    stats_.jobs = workers ? workers : 1;
-    for (const RunResult &r : results) {
-        if (r.ok()) {
-            ++stats_.completed;
-            stats_.measuredInsts += r.results.insts;
-        } else {
-            ++stats_.failed;
-        }
-    }
-    stats_.resumed = resumed;
-    stats_.retries =
-        static_cast<std::size_t>(retries.load(std::memory_order_relaxed));
-    stats_.warmBuilds = static_cast<std::size_t>(
-        warmBuilds.load(std::memory_order_relaxed));
-    stats_.warmForks = static_cast<std::size_t>(
-        warmForks.load(std::memory_order_relaxed));
-    stats_.coldFallbacks = static_cast<std::size_t>(
-        coldFallbacks.load(std::memory_order_relaxed));
-    stats_.backoffMsTotal = backoffMs.load(std::memory_order_relaxed);
-    stats_.journalSkipped = journal ? journal->skippedLines() : 0;
-    stats_.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    stats_.launched = totals.runsTotal;
+    stats_.completed = totals.completed;
+    stats_.failed = totals.failed;
+    stats_.jobs = totals.jobs;
+    stats_.measuredInsts = totals.measuredInsts;
+    stats_.warmBuilds = totals.warmBuilds;
+    stats_.warmForks = totals.warmForks;
+    stats_.coldFallbacks = totals.coldFallbacks;
+    stats_.wallSeconds = totals.elapsedSeconds;
 
-    if (telemetry) {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("runs", static_cast<std::uint64_t>(stats_.launched));
-        w.kv("completed", static_cast<std::uint64_t>(stats_.completed));
-        w.kv("failed", static_cast<std::uint64_t>(stats_.failed));
-        w.kv("measured_insts", stats_.measuredInsts);
-        w.kv("resumed", static_cast<std::uint64_t>(stats_.resumed));
-        w.kv("retries", static_cast<std::uint64_t>(stats_.retries));
-        w.kv("warm_builds",
-             static_cast<std::uint64_t>(stats_.warmBuilds));
-        w.kv("warm_forks",
-             static_cast<std::uint64_t>(stats_.warmForks));
-        w.kv("cold_fallbacks",
-             static_cast<std::uint64_t>(stats_.coldFallbacks));
-        w.endObject();
-        telemetry->emitDeterministic("sweep_end", os.str());
-    }
+    if (telemetry)
+        telemetry->emitDeterministic("sweep_end", sweepEndJson(totals));
     if (!opts_.metricsPath.empty()) {
-        Status ms =
-            writeMetricsSnapshot(opts_.metricsPath, snapshotNow(true));
+        Status ms = writeMetricsSnapshot(opts_.metricsPath, totals);
         if (!ms.ok())
             warn("sweep metrics snapshot failed: ", ms.toString());
     }

@@ -1,5 +1,7 @@
 #include "harness/telemetry.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "ckpt/checkpoint.hh"
@@ -8,6 +10,21 @@
 
 namespace ebcp::harness
 {
+
+namespace
+{
+
+/** @return true and set @p out when @p v is an integer in [0, max]. */
+bool
+integerUpTo(double v, double max, std::uint64_t &out)
+{
+    if (!(v >= 0.0 && v <= max) || v != std::floor(v))
+        return false;
+    out = static_cast<std::uint64_t>(v);
+    return true;
+}
+
+} // namespace
 
 TelemetryStream::TelemetryStream(const std::string &path)
 {
@@ -62,12 +79,16 @@ TelemetryStream::parseLine(const std::string &line, TelemetryRecord &out)
     if (!type || !type->isString() || !live || !live->isBool() ||
         !data || !data->isObject())
         return false;
-    const std::uint32_t want =
-        static_cast<std::uint32_t>(root.find("crc")->number);
+    // A crc is a u32 and a seq a counter no double rounds (2^53);
+    // any other number is damage, not a value to convert.
+    std::uint64_t want = 0, seq = 0;
+    if (!integerUpTo(root.find("crc")->number, 4294967295.0, want) ||
+        !integerUpTo(root.find("seq")->number, 9007199254740992.0, seq))
+        return false;
     if (crc32(data_raw.data(), data_raw.size()) != want)
         return false;
 
-    out.seq = static_cast<std::uint64_t>(root.find("seq")->number);
+    out.seq = seq;
     out.type = type->string;
     out.live = live->boolean;
     out.data = *data;
@@ -152,8 +173,6 @@ formatPrometheus(const MetricsSnapshot &m)
     gauge("ebcp_sweep_insts_per_sec",
           "aggregate simulated instructions per wall second",
           m.instsPerSec);
-    gauge("ebcp_sweep_retries", "extra execution attempts performed",
-          static_cast<double>(m.retries));
     gauge("ebcp_sweep_warm_builds", "warm checkpoints built",
           static_cast<double>(m.warmBuilds));
     gauge("ebcp_sweep_warm_forks", "runs forked from a warm checkpoint",
@@ -161,8 +180,6 @@ formatPrometheus(const MetricsSnapshot &m)
     gauge("ebcp_sweep_cold_fallbacks",
           "warm restores that degraded to cold runs",
           static_cast<double>(m.coldFallbacks));
-    gauge("ebcp_sweep_resumed", "runs replayed from the journal",
-          static_cast<double>(m.resumed));
     gauge("ebcp_sweep_jobs", "worker threads in use",
           static_cast<double>(m.jobs));
     gauge("ebcp_sweep_elapsed_seconds", "wall seconds since sweep start",
@@ -176,6 +193,92 @@ Status
 writeMetricsSnapshot(const std::string &path, const MetricsSnapshot &m)
 {
     return ckpt::atomicWriteFile(path, formatPrometheus(m));
+}
+
+std::string
+sweepBeginJson(std::uint64_t runs)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("runs", runs);
+    w.endObject();
+    return os.str();
+}
+
+std::string
+liveRunStateJson(const std::string &label, const char *state)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("label", label);
+    w.kv("state", state);
+    w.endObject();
+    return os.str();
+}
+
+std::string
+terminalRunStateJson(std::uint64_t index, const std::string &label,
+                     const Status &status, std::uint64_t insts,
+                     bool warm_forked, bool cold_fallback)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("index", index);
+    w.kv("label", label);
+    w.kv("state", status.ok() ? "done" : "failed");
+    w.kv("ok", status.ok());
+    w.kv("code", statusCodeName(status.code()));
+    w.kv("warm_forked", warm_forked);
+    w.kv("cold_fallback", cold_fallback);
+    w.kv("insts", status.ok() ? insts : std::uint64_t(0));
+    w.endObject();
+    return os.str();
+}
+
+std::string
+heartbeatJson(const MetricsSnapshot &m)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("runs", m.runsTotal);
+    w.kv("completed", m.completed);
+    w.kv("failed", m.failed);
+    w.kv("measured_insts", m.measuredInsts);
+    w.kv("insts_per_sec", m.instsPerSec);
+    w.kv("elapsed_seconds", m.elapsedSeconds);
+    // Naive proportional ETA: wrong early, honest late -- and never
+    // pretends precision it does not have.
+    const std::uint64_t finished = m.completed + m.failed;
+    const std::uint64_t remaining =
+        m.runsTotal - std::min(m.runsTotal, finished);
+    w.kv("eta_seconds", finished > 0
+                            ? m.elapsedSeconds *
+                                  static_cast<double>(remaining) /
+                                  static_cast<double>(finished)
+                            : 0.0);
+    w.endObject();
+    return os.str();
+}
+
+std::string
+sweepEndJson(const MetricsSnapshot &m)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("runs", m.runsTotal);
+    w.kv("completed", m.completed);
+    w.kv("failed", m.failed);
+    w.kv("measured_insts", m.measuredInsts);
+    w.kv("warm_builds", m.warmBuilds);
+    w.kv("warm_forks", m.warmForks);
+    w.kv("cold_fallbacks", m.coldFallbacks);
+    w.endObject();
+    return os.str();
 }
 
 } // namespace ebcp::harness

@@ -3,9 +3,7 @@
  * Sweep telemetry streaming: CRC-tagged JSON-lines progress records
  * plus a Prometheus-style text metrics snapshot.
  *
- * The sweep engine is the ROADMAP's path to a long-running daemon
- * serving queued RunDescs, and a daemon that reports nothing until it
- * finishes is unoperable. SweepRunner therefore emits two interleaved
+ * SweepRunner, and the CLI as a one-run sweep, emit two interleaved
  * record classes into one `telemetry_out=` stream:
  *
  *  - deterministic records (`"live": false`): sweep_begin, one
@@ -15,9 +13,9 @@
  *    seq counter, so the deterministic subsequence is byte-identical
  *    at jobs=1 and jobs=N (tests/test_telemetry.cc pins it);
  *  - live records (`"live": true`): transient run states (queued /
- *    warm-building / warm-forked / running / retrying) and periodic
- *    heartbeats (insts/s, ETA). Ordering and timing are scheduling-
- *    dependent by nature; consumers wanting determinism filter them.
+ *    warm-building / warm-forked / running) and periodic heartbeats
+ *    (insts/s, ETA). Ordering and timing are scheduling-dependent by
+ *    nature; consumers wanting determinism filter them.
  *
  * Line format (append-only, one record per line, flushed per line so
  * at most the final line can be torn):
@@ -28,8 +26,9 @@
  * `crc` is the CRC-32 of the rendered `data` object exactly as it
  * appears in the line; `data` is always the last member, so a reader
  * recovers the covered bytes without re-serializing. A torn or
- * damaged line is skipped and counted, never fatal -- the same
- * degradation contract as the resume journal.
+ * damaged line is skipped and counted, never fatal. The `data` object
+ * of every record type is rendered by the *Json() functions below, so
+ * both emitters speak one schema.
  *
  * The metrics side (`metrics_out=`) is a whole-file snapshot in
  * Prometheus text exposition format, rewritten atomically (temp +
@@ -124,11 +123,9 @@ struct MetricsSnapshot
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     std::uint64_t measuredInsts = 0;
-    std::uint64_t retries = 0;
     std::uint64_t warmBuilds = 0;
     std::uint64_t warmForks = 0;
     std::uint64_t coldFallbacks = 0;
-    std::uint64_t resumed = 0;
     unsigned jobs = 0;
     double elapsedSeconds = 0.0;
     double instsPerSec = 0.0;
@@ -141,6 +138,28 @@ std::string formatPrometheus(const MetricsSnapshot &m);
 /** formatPrometheus() + atomic whole-file replace (temp + rename). */
 Status writeMetricsSnapshot(const std::string &path,
                             const MetricsSnapshot &m);
+
+/** `data` of sweep_begin: {runs}. */
+std::string sweepBeginJson(std::uint64_t runs);
+
+/** `data` of a live run_state: {label, state}. */
+std::string liveRunStateJson(const std::string &label, const char *state);
+
+/** `data` of run @p index's terminal run_state: {index, label, state
+ * ("done" | "failed"), ok, code, warm_forked, cold_fallback, insts};
+ * insts reads 0 unless @p status is OK. */
+std::string terminalRunStateJson(std::uint64_t index,
+                                 const std::string &label,
+                                 const Status &status, std::uint64_t insts,
+                                 bool warm_forked, bool cold_fallback);
+
+/** `data` of a heartbeat: @p m's progress, rate and a proportional
+ * ETA. */
+std::string heartbeatJson(const MetricsSnapshot &m);
+
+/** `data` of sweep_end: @p m's counters, without its wall-clock
+ * fields. */
+std::string sweepEndJson(const MetricsSnapshot &m);
 
 } // namespace ebcp::harness
 

@@ -4,8 +4,7 @@
  * simulator save/restore (in memory and through the atomic file
  * path), version/fingerprint skew rejection, the corrupted-checkpoint
  * corpus (every CkptFaultKind must surface as a coded Status, never a
- * crash), the sweep journal's torn-line tolerance, and deterministic
- * retry backoff.
+ * crash), and the warm fingerprint that keys sweep warm reuse.
  *
  * CkptRoundtrip.* and CkptCorpus.* are also registered as dedicated
  * ctest entries (ckpt_roundtrip, ckpt_corruption_corpus) which
@@ -23,7 +22,6 @@
 
 #include "ckpt/archiver.hh"
 #include "ckpt/checkpoint.hh"
-#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "sim/simulator.hh"
 #include "trace/fault_injection.hh"
@@ -703,149 +701,6 @@ TEST(CkptCorpus, DamagedBufferNeverPanicsAcrossWideSeedRange)
 }
 
 // ---------------------------------------------------------------------
-// Sweep journal.
-// ---------------------------------------------------------------------
-
-TEST(CkptJournal, RecordLineRoundTripIsBitExact)
-{
-    JournalRecord rec;
-    rec.key = 0xfeedfacecafef00dULL;
-    rec.code = StatusCode::Stalled;
-    rec.message = "watchdog tripped";
-    rec.attempts = 3;
-    rec.warmForked = true;
-    rec.coldFallback = false;
-    rec.results.insts = 120'000;
-    rec.results.cpi = 5.75594999;
-    rec.results.coverage = 0.125;
-
-    const std::string line = SweepJournal::formatLine(rec);
-    JournalRecord back;
-    ASSERT_TRUE(SweepJournal::parseLine(line, back));
-    EXPECT_EQ(back.key, rec.key);
-    EXPECT_EQ(back.code, rec.code);
-    EXPECT_EQ(back.message, rec.message);
-    EXPECT_EQ(back.attempts, rec.attempts);
-    EXPECT_EQ(back.warmForked, rec.warmForked);
-    EXPECT_EQ(back.coldFallback, rec.coldFallback);
-    EXPECT_EQ(back.results.insts, rec.results.insts);
-    EXPECT_EQ(back.results.cpi, rec.results.cpi);
-    EXPECT_EQ(back.results.coverage, rec.results.coverage);
-}
-
-TEST(CkptJournal, DamagedLinesAreRejected)
-{
-    JournalRecord rec;
-    rec.key = 42;
-    rec.results.insts = 7;
-    const std::string line = SweepJournal::formatLine(rec);
-    JournalRecord out;
-
-    // Torn at every prefix length: never accepted, never a crash.
-    for (std::size_t n = 0; n < line.size(); ++n)
-        EXPECT_FALSE(
-            SweepJournal::parseLine(line.substr(0, n), out))
-            << "accepted a torn prefix of " << n << " bytes";
-
-    // A flipped blob nibble fails the CRC.
-    std::string tampered = line;
-    const std::size_t blob_at = tampered.find("\"blob\":\"") + 8;
-    tampered[blob_at] = tampered[blob_at] == '0' ? '1' : '0';
-    EXPECT_FALSE(SweepJournal::parseLine(tampered, out));
-
-    EXPECT_FALSE(SweepJournal::parseLine("not json at all", out));
-    EXPECT_FALSE(SweepJournal::parseLine("", out));
-}
-
-TEST(CkptJournal, LoadSkipsTornLinesAndKeepsValidOnes)
-{
-    const std::string path = tempPath("ckpt_journal_torn.jsonl");
-    std::remove(path.c_str());
-
-    JournalRecord a, b;
-    a.key = 1;
-    a.results.insts = 100;
-    b.key = 2;
-    b.results.insts = 200;
-
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const std::string la = SweepJournal::formatLine(a) + "\n";
-        const std::string garbage = "{\"v\":1,\"key\":\"zz\"}\n";
-        const std::string lb = SweepJournal::formatLine(b);
-        const std::string torn = lb.substr(0, lb.size() / 2);
-        std::fwrite(la.data(), 1, la.size(), f);
-        std::fwrite(garbage.data(), 1, garbage.size(), f);
-        std::fwrite(torn.data(), 1, torn.size(), f); // no newline: torn
-        std::fclose(f);
-    }
-
-    SweepJournal j(path);
-    ASSERT_TRUE(j.load().ok());
-    EXPECT_EQ(j.size(), 1u);
-    EXPECT_EQ(j.skippedLines(), 2u);
-    JournalRecord out;
-    EXPECT_TRUE(j.lookup(1, out));
-    EXPECT_EQ(out.results.insts, 100u);
-    EXPECT_FALSE(j.lookup(2, out));
-
-    // A fresh (missing) journal is OK and empty, not an error.
-    std::remove(path.c_str());
-    SweepJournal fresh(path);
-    EXPECT_TRUE(fresh.load().ok());
-    EXPECT_EQ(fresh.size(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Retry backoff.
-// ---------------------------------------------------------------------
-
-TEST(CkptRetry, BackoffIsDeterministicBoundedAndJittered)
-{
-    RetryPolicy p;
-    p.baseDelayMs = 50;
-    p.maxDelayMs = 2'000;
-    p.seed = 7;
-
-    for (std::uint64_t key : {1ULL, 0xabcdefULL, ~0ULL}) {
-        for (unsigned attempt = 1; attempt <= 8; ++attempt) {
-            const std::uint64_t d = retryBackoffMs(p, key, attempt);
-            // Pure function: same inputs, same delay.
-            EXPECT_EQ(d, retryBackoffMs(p, key, attempt));
-            const std::uint64_t cap = std::min<std::uint64_t>(
-                p.baseDelayMs << (attempt - 1), p.maxDelayMs);
-            EXPECT_GE(d, cap / 2) << "key " << key << " attempt "
-                                  << attempt;
-            EXPECT_LE(d, cap) << "key " << key << " attempt "
-                              << attempt;
-        }
-    }
-
-    // Jitter decorrelates runs: not every run backs off identically.
-    bool differs = false;
-    for (std::uint64_t key = 0; key < 16 && !differs; ++key)
-        differs = retryBackoffMs(p, key, 3) != retryBackoffMs(p, 99, 3);
-    EXPECT_TRUE(differs);
-
-    // Zero-delay policies never sleep.
-    RetryPolicy none;
-    none.baseDelayMs = 0;
-    EXPECT_EQ(retryBackoffMs(none, 1, 1), 0u);
-}
-
-TEST(CkptRetry, RetryableCodesExcludeBadInput)
-{
-    EXPECT_FALSE(statusRetryable(Status()));
-    EXPECT_FALSE(statusRetryable(invalidArgError("bad flag")));
-    EXPECT_FALSE(statusRetryable(notFoundError("no such workload")));
-    EXPECT_TRUE(statusRetryable(ioError("disk")));
-    EXPECT_TRUE(statusRetryable(corruptionError("crc")));
-    EXPECT_TRUE(statusRetryable(stalledError("watchdog")));
-    EXPECT_TRUE(statusRetryable(invariantError("audit")));
-}
-
-// ---------------------------------------------------------------------
 // Descriptor fingerprints.
 // ---------------------------------------------------------------------
 
@@ -857,12 +712,11 @@ TEST(CkptFingerprint, TracksResultShapingFieldsOnly)
 
     RunDesc same = d;
     same.label = "display-only"; // labels must not split the key
-    EXPECT_EQ(descFingerprint(d), descFingerprint(same));
+    EXPECT_EQ(warmFingerprint(d), warmFingerprint(same));
 
+    // The warm state is shared when only measure differs.
     RunDesc other = d;
     other.scale.measure *= 2;
-    EXPECT_NE(descFingerprint(d), descFingerprint(other));
-    // ...but the warm state is shared when only measure differs.
     EXPECT_EQ(warmFingerprint(d), warmFingerprint(other));
 
     RunDesc warm_differs = d;
@@ -872,5 +726,4 @@ TEST(CkptFingerprint, TracksResultShapingFieldsOnly)
     RunDesc cfg_differs = d;
     cfg_differs.pf.ebcp.prefetchDegree += 1;
     EXPECT_NE(warmFingerprint(d), warmFingerprint(cfg_differs));
-    EXPECT_NE(descFingerprint(d), descFingerprint(cfg_differs));
 }

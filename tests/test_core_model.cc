@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
@@ -458,14 +457,13 @@ statsDump(CoreModel &core)
 }
 
 /** Run @p recs through run() on one core and process() on another and
- * require identical state; @p watchdog and @p deadline arm the run
- * core's trip machinery (the process core re-derives the trip), and
+ * require identical state; @p watchdog arms the run core's trip
+ * machinery (the process core re-derives the trip), and
  * @p audited attaches a retire-cadence auditor to the run core, so
  * run() takes its audited loop, which must also audit clean. */
 void
 expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
-                        Addr huge_line, Tick watchdog, bool deadline,
-                        bool audited)
+                        Addr huge_line, Tick watchdog, bool audited)
 {
     LoggingMem mem_run;
     LoggingMem mem_proc;
@@ -473,9 +471,6 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
     CoreModel run_core({}, mem_run);
     CoreModel proc_core({}, mem_proc);
     run_core.setWatchdog(watchdog);
-    if (deadline)
-        run_core.setWallDeadline(std::chrono::steady_clock::now() +
-                                 std::chrono::hours(1));
     AuditOptions audit_opts;
     audit_opts.cadence = AuditCadence::Retire;
     Auditor auditor(audit_opts);
@@ -506,7 +501,6 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
     }
 
     EXPECT_EQ(run_core.watchdogTripped(), watchdog != 0);
-    EXPECT_FALSE(run_core.wallDeadlineTripped());
     EXPECT_EQ(run_core.now(), proc_core.now());
     EXPECT_EQ(run_core.instCount(), proc_core.instCount());
     EXPECT_EQ(run_core.measuredCycles(), proc_core.measuredCycles());
@@ -525,14 +519,10 @@ TEST(CoreModelRunLoop, RunMatchesProcessOneRecordAtATime)
 {
     const std::vector<TraceRecord> recs = mixedStream(60'000);
     for (const bool span : {true, false}) {
-        for (const bool deadline : {false, true}) {
-            for (const bool audited : {false, true}) {
-                SCOPED_TRACE(testing::Message()
-                             << "span=" << span << " deadline=" << deadline
-                             << " audited=" << audited);
-                expectRunMatchesProcess(recs, span, InvalidAddr, 0,
-                                        deadline, audited);
-            }
+        for (const bool audited : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "span=" << span << " audited=" << audited);
+            expectRunMatchesProcess(recs, span, InvalidAddr, 0, audited);
         }
     }
 }
@@ -549,14 +539,11 @@ TEST(CoreModelRunLoop, WatchdogTripInsideASpanMatchesProcess)
     stall.addr = 0x7770000;
     stall.dstReg = 7;
     for (const bool span : {true, false}) {
-        for (const bool deadline : {false, true}) {
-            for (const bool audited : {false, true}) {
-                SCOPED_TRACE(testing::Message()
-                             << "span=" << span << " deadline=" << deadline
-                             << " audited=" << audited);
-                expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
-                                        deadline, audited);
-            }
+        for (const bool audited : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "span=" << span << " audited=" << audited);
+            expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
+                                    audited);
         }
     }
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: bit-identical results across
- * job counts, fault isolation, descriptor-derived seeding, option
- * parsing, and sweep accounting.
+ * job counts, fault isolation, descriptor-derived seeding, warm
+ * reuse and its cold fallback, option parsing, and sweep accounting.
  *
  * The SweepDeterminism suite is also registered as a dedicated ctest
  * entry (sweep_determinism_jobs4) so a -DEBCP_SANITIZE=thread build
@@ -11,12 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 
-#include "harness/journal.hh"
 #include "harness/options.hh"
 #include "harness/sweep.hh"
 #include "trace/workloads.hh"
@@ -224,9 +222,16 @@ TEST(SweepRunnerTest, BadDescriptorYieldsPerRunStatus)
 
 TEST(SweepRunnerTest, StatsAccounting)
 {
+    // Two runs on a four-worker pool: the sweep starts only as many
+    // workers as it has runs, and both the stats and the metrics
+    // snapshot count them.
     std::vector<RunDesc> descs{makeDesc("database", "null"),
                                makeDesc("tpcw", "null")};
-    SweepRunner pool(2);
+    const ebcp_test::TempFile metrics("sweep_stats.prom");
+    SweepOptions opts;
+    opts.metricsPath = metrics.path;
+    opts.heartbeatSeconds = 0.0;
+    SweepRunner pool(4, opts);
     const std::vector<RunResult> rs = pool.run(descs);
     ASSERT_TRUE(rs[0].ok());
     ASSERT_TRUE(rs[1].ok());
@@ -239,6 +244,11 @@ TEST(SweepRunnerTest, StatsAccounting)
     EXPECT_GT(st.wallSeconds, 0.0);
     EXPECT_EQ(st.measuredInsts, 2 * kMeasure);
     EXPECT_GT(st.instsPerSec(), 0.0);
+
+    std::ifstream prom(metrics.path);
+    const std::string text((std::istreambuf_iterator<char>(prom)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("ebcp_sweep_jobs 2\n"), std::string::npos) << text;
 }
 
 TEST(SweepRunnerTest, RunSeedIsDescriptorDerived)
@@ -252,54 +262,6 @@ TEST(SweepRunnerTest, RunSeedIsDescriptorDerived)
     // paper's methodology compares configurations on the same trace.
     EXPECT_EQ(runSeed(makeDesc("database", "null")),
               runSeed(makeDesc("database", "ebcp")));
-}
-
-TEST(SweepDeterminism, JournalResumeMergesBitIdentical)
-{
-    // Simulate a killed sweep: run the first half with a journal,
-    // then run the full grid against the same journal. The first half
-    // must be replayed (not re-executed) and the merged results must
-    // be bit-identical to an uninterrupted journal-less sweep.
-    const std::vector<RunDesc> descs = mixedGrid();
-    const std::size_t half = descs.size() / 2;
-    const std::vector<RunDesc> first(descs.begin(),
-                                     descs.begin() + half);
-
-    const std::string path = ebcp_test::tempPath("sweep_resume.jsonl");
-    std::remove(path.c_str());
-
-    SweepOptions opts;
-    opts.journalPath = path;
-
-    SweepRunner baseline(1);
-    const std::vector<RunResult> want = baseline.run(descs);
-
-    SweepRunner interrupted(2, opts);
-    const std::vector<RunResult> partial = interrupted.run(first);
-    for (const RunResult &r : partial)
-        ASSERT_TRUE(r.ok()) << r.status.toString();
-    EXPECT_EQ(interrupted.stats().resumed, 0u);
-
-    SweepRunner resumed(parallelJobs(), opts);
-    const std::vector<RunResult> merged = resumed.run(descs);
-    ASSERT_EQ(merged.size(), descs.size());
-    EXPECT_EQ(resumed.stats().resumed, half);
-    EXPECT_EQ(resumed.stats().journalSkipped, 0u);
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-        ASSERT_TRUE(merged[i].ok()) << merged[i].status.toString();
-        EXPECT_EQ(merged[i].fromJournal, i < half) << i;
-        expectBitIdentical(merged[i].results, want[i].results,
-                           runLabel(descs[i]));
-    }
-
-    // A third pass resumes everything: zero execution, same results.
-    SweepRunner replay(parallelJobs(), opts);
-    const std::vector<RunResult> again = replay.run(descs);
-    EXPECT_EQ(replay.stats().resumed, descs.size());
-    for (std::size_t i = 0; i < descs.size(); ++i)
-        expectBitIdentical(again[i].results, want[i].results,
-                           runLabel(descs[i]));
-    std::remove(path.c_str());
 }
 
 TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
@@ -401,48 +363,6 @@ TEST(SweepDeterminism, WarmReuseBuildsOnlySharedFingerprints)
     EXPECT_EQ(st.coldFallbacks, 0u);
 }
 
-TEST(SweepDeterminism, ResumedPairMemberRunsColdOnSizedPool)
-{
-    // A pair shares a warm fingerprint, but once the journal holds
-    // one member the other has no pending sibling: the resumed sweep
-    // runs it cold, builds nothing, and starts one worker for it.
-    std::vector<RunDesc> descs;
-    pushPair(descs, makeDesc("database", "ebcp"));
-    const std::vector<RunResult> want = coldReference(descs);
-
-    const ebcp_test::TempFile journal("sweep_pair.jsonl");
-    const ebcp_test::TempFile metrics("sweep_pair.prom");
-    SweepOptions opts;
-    opts.warmReuse = true;
-    opts.journalPath = journal.path;
-    opts.metricsPath = metrics.path;
-    opts.heartbeatSeconds = 0.0;
-
-    SweepRunner interrupted(1, opts);
-    ASSERT_TRUE(interrupted.run({descs[0]})[0].ok());
-
-    SweepRunner resumed(4, opts);
-    const std::vector<RunResult> got = resumed.run(descs);
-    const SweepStats &st = resumed.stats();
-    EXPECT_EQ(st.resumed, 1u);
-    EXPECT_EQ(st.warmBuilds, 0u);
-    EXPECT_EQ(st.warmForks, 0u);
-    EXPECT_EQ(st.jobs, 1u);
-    EXPECT_TRUE(got[0].fromJournal);
-    ASSERT_TRUE(got[1].ok()) << got[1].status.toString();
-    EXPECT_FALSE(got[1].fromJournal);
-    EXPECT_FALSE(got[1].warmForked);
-    for (std::size_t i = 0; i < descs.size(); ++i)
-        expectBitIdentical(got[i].results, want[i].results,
-                           runLabel(descs[i]));
-
-    // The metrics snapshot counts the same one worker.
-    std::ifstream prom(metrics.path);
-    const std::string text((std::istreambuf_iterator<char>(prom)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("ebcp_sweep_jobs 1\n"), std::string::npos) << text;
-}
-
 TEST(SweepRunnerTest, DispatchOrderLongestFirstTiesInSubmission)
 {
     // Cost is cores x (warm + measure); equal costs keep submission
@@ -503,114 +423,29 @@ TEST(SweepDeterminism, CostliestRunsLastBitIdenticalAcrossJobCounts)
     }
 }
 
-TEST(SweepRunnerTest, RetryAccountingIsDeterministic)
-{
-    // A persistently stalling run consumes maxAttempts attempts with
-    // the exact backoff schedule retryBackoffMs() predicts; a bad
-    // descriptor (NotFound) is deterministic and never retried.
-    RunDesc stall = makeDesc("database", "ebcp");
-    stall.cfg.faults.demandStall = true;
-    stall.cfg.faults.stallAfter = 2'000;
-    stall.cfg.watchdogTicks = 1'000'000;
-
-    std::vector<RunDesc> descs{stall,
-                               makeDesc("no-such-workload", "null")};
-
-    SweepOptions opts;
-    opts.retry.maxAttempts = 3;
-    opts.retry.sleep = false; // account the delays, skip the naps
-    opts.retry.seed = 11;
-
-    SweepRunner pool(2, opts);
-    const std::vector<RunResult> rs = pool.run(descs);
-
-    ASSERT_FALSE(rs[0].ok());
-    EXPECT_EQ(rs[0].status.code(), StatusCode::Stalled);
-    EXPECT_EQ(rs[0].attempts, 3u);
-
-    ASSERT_FALSE(rs[1].ok());
-    EXPECT_EQ(rs[1].status.code(), StatusCode::NotFound);
-    EXPECT_EQ(rs[1].attempts, 1u);
-
-    const std::uint64_t key = descFingerprint(stall);
-    const std::uint64_t want_backoff =
-        retryBackoffMs(opts.retry, key, 1) +
-        retryBackoffMs(opts.retry, key, 2);
-    const SweepStats &st = pool.stats();
-    EXPECT_EQ(st.retries, 2u);
-    EXPECT_EQ(st.backoffMsTotal, want_backoff);
-    EXPECT_EQ(st.failed, 2u);
-}
-
 TEST(SweepRunnerTest, CorruptWarmCheckpointFollowsPolicy)
 {
+    // A damaged warm checkpoint is logged, the runs that would fork
+    // from it fall back to a cold warm-up, and the results are still
+    // bit-identical.
     std::vector<RunDesc> descs;
-    {
-        RunDesc d = makeDesc("database", "ebcp");
-        descs.push_back(d);
-        d.scale.measure = 2 * kMeasure;
-        descs.push_back(d);
-    }
-
-    SweepRunner cold(1);
-    const std::vector<RunResult> want = cold.run(descs);
-
-    // Strict: a damaged warm checkpoint fails each forked run with
-    // the coded Status; the sweep itself survives.
-    {
-        SweepOptions opts;
-        opts.warmReuse = true;
-        opts.ckptPolicy = ckpt::CkptPolicy::Strict;
-        SweepRunner pool(2, opts);
-        pool.corruptWarmCacheForTest(CkptFaultKind::CrcFlip, 7);
-        const std::vector<RunResult> rs = pool.run(descs);
-        for (const RunResult &r : rs) {
-            ASSERT_FALSE(r.ok());
-            EXPECT_TRUE(r.status.code() == StatusCode::Corruption ||
-                        r.status.code() == StatusCode::InvalidArgument)
-                << r.status.toString();
-        }
-    }
-
-    // Rebuild: the damage is logged, the runs fall back to cold
-    // warm-up, and the results are still bit-identical.
-    {
-        SweepOptions opts;
-        opts.warmReuse = true;
-        opts.ckptPolicy = ckpt::CkptPolicy::Rebuild;
-        SweepRunner pool(2, opts);
-        pool.corruptWarmCacheForTest(CkptFaultKind::HeaderBitflip, 9);
-        const std::vector<RunResult> rs = pool.run(descs);
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            ASSERT_TRUE(rs[i].ok()) << rs[i].status.toString();
-            EXPECT_TRUE(rs[i].coldFallback) << i;
-            EXPECT_FALSE(rs[i].warmForked) << i;
-            expectBitIdentical(rs[i].results, want[i].results,
-                               runLabel(descs[i]));
-        }
-        EXPECT_EQ(pool.stats().coldFallbacks, 2u);
-        EXPECT_EQ(pool.stats().warmForks, 0u);
-    }
-}
-
-TEST(SweepRunnerTest, WallClockTimeoutTripsStalledStatus)
-{
-    // A run whose measurement window cannot finish inside the budget
-    // must fail Stalled with the wall-clock diagnostic instead of
-    // holding the sweep hostage.
-    RunDesc d = makeDesc("database", "null");
-    d.scale.warm = 10'000;
-    d.scale.measure = 2'000'000'000; // far beyond the budget
+    pushPair(descs, makeDesc("database", "ebcp"));
+    const std::vector<RunResult> want = coldReference(descs);
 
     SweepOptions opts;
-    opts.runTimeoutSeconds = 0.05;
-    SweepRunner pool(1, opts);
-    const std::vector<RunResult> rs = pool.run({d});
-    ASSERT_FALSE(rs[0].ok());
-    EXPECT_EQ(rs[0].status.code(), StatusCode::Stalled);
-    EXPECT_NE(rs[0].status.message().find("wall-clock"),
-              std::string::npos)
-        << rs[0].status.message();
+    opts.warmReuse = true;
+    SweepRunner pool(2, opts);
+    pool.corruptWarmCacheForTest(CkptFaultKind::HeaderBitflip, 9);
+    const std::vector<RunResult> rs = pool.run(descs);
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        ASSERT_TRUE(rs[i].ok()) << rs[i].status.toString();
+        EXPECT_TRUE(rs[i].coldFallback) << i;
+        EXPECT_FALSE(rs[i].warmForked) << i;
+        expectBitIdentical(rs[i].results, want[i].results,
+                           runLabel(descs[i]));
+    }
+    EXPECT_EQ(pool.stats().coldFallbacks, 2u);
+    EXPECT_EQ(pool.stats().warmForks, 0u);
 }
 
 TEST(RunnerOptions, ScaleEnvParsing)

@@ -3,11 +3,11 @@
  * Sweep telemetry stream tests.
  *
  * Pins the JSON-lines record contract (harness/telemetry.hh): framing
- * and CRC round-trip, torn-line and corruption tolerance, schema of
- * every record type a real sweep emits, the Prometheus snapshot, and
- * the headline determinism guarantee -- the deterministic (live:false)
- * record subsequence of a sweep is byte-identical at jobs=1 and
- * jobs=4.
+ * and CRC round-trip, torn-line, corruption and out-of-range-number
+ * tolerance, schema of every record type a real sweep emits, the
+ * Prometheus snapshot, and the headline determinism guarantee -- the
+ * deterministic (live:false) record subsequence of a sweep is
+ * byte-identical at jobs=1 and jobs=4.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 
 #include "harness/sweep.hh"
 #include "harness/telemetry.hh"
+#include "util/crc32.hh"
 #include "util/json.hh"
 
 #include "temp_path.hh"
@@ -89,6 +90,24 @@ sweepDeterministicLines(const std::vector<RunDesc> &descs, unsigned jobs,
     return deterministicLines(tmp.path);
 }
 
+/** A telemetry line built by hand around the `data` object
+ * {"runs":1}, with @p seq and @p crc spliced in as written. */
+std::string
+handBuiltLine(const std::string &seq, const std::string &crc)
+{
+    return "{\"v\":1,\"seq\":" + seq +
+           ",\"type\":\"sweep_begin\",\"live\":false,\"crc\":" + crc +
+           ",\"data\":{\"runs\":1}}";
+}
+
+/** The true CRC of handBuiltLine()'s `data` object. */
+std::uint64_t
+handBuiltCrc()
+{
+    const std::string data = "{\"runs\":1}";
+    return crc32(data.data(), data.size());
+}
+
 } // namespace
 
 TEST(TelemetryLine, FormatParseRoundTrip)
@@ -121,10 +140,48 @@ TEST(TelemetryLine, RejectsTornLines)
     EXPECT_FALSE(TelemetryStream::parseLine("not json", rec));
 }
 
+TEST(TelemetryLine, FormatLineWritesTheDocumentedEnvelope)
+{
+    // formatLine() writes the envelope telemetry.hh documents, byte
+    // for byte. This is also the control for the three cases below:
+    // with an in-range seq and the true CRC, the hand-built line
+    // parses.
+    const std::string line =
+        handBuiltLine("0", std::to_string(handBuiltCrc()));
+    EXPECT_EQ(line, TelemetryStream::formatLine(0, "sweep_begin", false,
+                                                "{\"runs\":1}"));
+    TelemetryRecord rec;
+    EXPECT_TRUE(TelemetryStream::parseLine(line, rec));
+}
+
+TEST(TelemetryLine, RejectsCrcBeyond32Bits)
+{
+    // The true CRC plus 2^32 is not a u32: damage, not a CRC that
+    // happens to match after truncation.
+    TelemetryRecord rec;
+    EXPECT_FALSE(TelemetryStream::parseLine(
+        handBuiltLine("0", std::to_string(handBuiltCrc() + (1ULL << 32))),
+        rec));
+}
+
+TEST(TelemetryLine, RejectsNegativeSeq)
+{
+    TelemetryRecord rec;
+    EXPECT_FALSE(TelemetryStream::parseLine(
+        handBuiltLine("-1", std::to_string(handBuiltCrc())), rec));
+}
+
+TEST(TelemetryLine, RejectsFractionalCrc)
+{
+    TelemetryRecord rec;
+    EXPECT_FALSE(TelemetryStream::parseLine(
+        handBuiltLine("0", std::to_string(handBuiltCrc()) + ".9"), rec));
+}
+
 TEST(TelemetryLine, RejectsCrcMismatch)
 {
     std::string line = TelemetryStream::formatLine(
-        0, "sweep_begin", false, "{\"runs\":8,\"resumed\":0}");
+        0, "sweep_begin", false, "{\"runs\":8}");
     // Flip one digit inside the CRC-covered data object.
     const std::size_t pos = line.rfind('8');
     ASSERT_NE(pos, std::string::npos);
@@ -148,8 +205,7 @@ TEST(TelemetryStreamTest, TornTailIsSkippedNotFatal)
     {
         TelemetryStream stream(tmp.path);
         ASSERT_TRUE(stream.openStatus().ok());
-        stream.emitDeterministic("sweep_begin",
-                                 "{\"runs\":2,\"resumed\":0}");
+        stream.emitDeterministic("sweep_begin", "{\"runs\":2}");
         stream.emitDeterministic("sweep_end",
                                  "{\"runs\":2,\"completed\":2}");
     }
@@ -209,13 +265,11 @@ TEST(TelemetrySweep, EmitsSchemaValidRecordsOfEveryType)
             EXPECT_FALSE(r.live);
             ASSERT_TRUE(r.data.hasNumber("runs"));
             EXPECT_EQ(r.data.find("runs")->number, 8.0);
-            ASSERT_TRUE(r.data.hasNumber("resumed"));
         } else if (r.type == "sweep_end") {
             EXPECT_FALSE(r.live);
             for (const char *k :
                  {"runs", "completed", "failed", "measured_insts",
-                  "resumed", "retries", "warm_builds", "warm_forks",
-                  "cold_fallbacks"})
+                  "warm_builds", "warm_forks", "cold_fallbacks"})
                 EXPECT_TRUE(r.data.hasNumber(k)) << k;
             EXPECT_EQ(r.data.find("completed")->number, 8.0);
         } else if (r.type == "heartbeat") {
@@ -239,7 +293,7 @@ TEST(TelemetrySweep, EmitsSchemaValidRecordsOfEveryType)
                 ++terminal;
                 EXPECT_TRUE(state->string == "done" ||
                             state->string == "failed");
-                for (const char *k : {"index", "attempts", "insts"})
+                for (const char *k : {"index", "insts"})
                     EXPECT_TRUE(r.data.hasNumber(k)) << k;
                 const JsonValue *ok = r.data.find("ok");
                 ASSERT_NE(ok, nullptr);
@@ -247,8 +301,7 @@ TEST(TelemetrySweep, EmitsSchemaValidRecordsOfEveryType)
                 const JsonValue *code = r.data.find("code");
                 ASSERT_NE(code, nullptr);
                 EXPECT_TRUE(code->isString());
-                for (const char *k :
-                     {"from_journal", "warm_forked", "cold_fallback"}) {
+                for (const char *k : {"warm_forked", "cold_fallback"}) {
                     const JsonValue *b = r.data.find(k);
                     ASSERT_NE(b, nullptr) << k;
                     EXPECT_TRUE(b->isBool()) << k;
@@ -352,11 +405,9 @@ TEST(TelemetryMetrics, PrometheusFormatIsComplete)
     m.completed = 3;
     m.failed = 1;
     m.measuredInsts = 123456;
-    m.retries = 2;
     m.warmBuilds = 1;
     m.warmForks = 4;
     m.coldFallbacks = 0;
-    m.resumed = 1;
     m.jobs = 4;
     m.elapsedSeconds = 1.5;
     m.instsPerSec = 82304.0;
@@ -366,9 +417,8 @@ TEST(TelemetryMetrics, PrometheusFormatIsComplete)
     for (const char *gauge :
          {"ebcp_sweep_runs_total 5", "ebcp_sweep_runs_completed 3",
           "ebcp_sweep_runs_failed 1", "ebcp_sweep_measured_insts 123456",
-          "ebcp_sweep_retries 2", "ebcp_sweep_warm_builds 1",
-          "ebcp_sweep_warm_forks 4", "ebcp_sweep_cold_fallbacks 0",
-          "ebcp_sweep_resumed 1", "ebcp_sweep_jobs 4",
+          "ebcp_sweep_warm_builds 1", "ebcp_sweep_warm_forks 4",
+          "ebcp_sweep_cold_fallbacks 0", "ebcp_sweep_jobs 4",
           "ebcp_sweep_done 0"})
         EXPECT_NE(text.find(gauge), std::string::npos) << gauge;
     // Every sample is preceded by # HELP / # TYPE metadata.

@@ -2,8 +2,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "harness/stats_json.hh"
@@ -56,61 +54,6 @@ banner(const std::string &title, const std::string &paper_ref,
               << "  (override: warm=N measure=N or EBCP_BENCH_SCALE)\n"
               << "====================================================="
                  "=======================\n";
-}
-
-SimResults
-run(const std::string &workload, const SimConfig &cfg,
-    const PrefetcherParams &pf, const RunScale &scale)
-{
-    auto src = makeWorkload(workload);
-    return runOnce(cfg, pf, *src, scale.warm, scale.measure);
-}
-
-const SimResults &
-baseline(const std::string &workload, const RunScale &scale)
-{
-    // Per-entry state so concurrent callers of *different* workloads
-    // compute in parallel, while two callers of the same workload
-    // compute it exactly once. unique_ptr gives the caller a stable
-    // reference even as the map rehashes/rebalances around it.
-    struct Entry
-    {
-        std::once_flag once;
-        std::unique_ptr<SimResults> results;
-    };
-    static std::mutex map_mu;
-    static std::map<std::string, Entry> cache;
-
-    // Keying by scale as well closes a latent serial bug: two calls
-    // with different windows used to alias one cache slot.
-    const std::string key = workload + "@" + std::to_string(scale.warm) +
-                            "+" + std::to_string(scale.measure);
-    Entry *entry;
-    {
-        std::lock_guard<std::mutex> lock(map_mu);
-        entry = &cache[key];
-    }
-    std::call_once(entry->once, [&]() {
-        PrefetcherParams null_pf;
-        null_pf.name = "null";
-        SimConfig cfg;
-        entry->results = std::make_unique<SimResults>(
-            run(workload, cfg, null_pf, scale));
-    });
-    return *entry->results;
-}
-
-std::vector<double>
-improvementRow(const std::string &workload,
-               const std::vector<SimResults> &series,
-               const RunScale &scale)
-{
-    std::vector<double> out;
-    const SimResults &base = baseline(workload, scale);
-    out.reserve(series.size());
-    for (const SimResults &r : series)
-        out.push_back(improvementPct(base, r));
-    return out;
 }
 
 namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared machinery for the paper-reproduction benches: run scaling,
- * the parallel sweep wrapper, baseline caching and uniform table
- * output.
+ * Shared machinery for the paper-reproduction benches: run scaling
+ * and the parallel sweep wrapper.
  *
  * Every bench accepts "warm=N measure=N" command-line overrides, the
  * EBCP_BENCH_SCALE environment variable (e.g. 0.25 for a quick pass,
@@ -60,24 +59,6 @@ unsigned resolveJobs(int argc, char **argv);
 /** Print the standard bench banner. */
 void banner(const std::string &title, const std::string &paper_ref,
             const RunScale &scale);
-
-/** Run one configuration on one workload, serially. */
-SimResults run(const std::string &workload, const SimConfig &cfg,
-               const PrefetcherParams &pf, const RunScale &scale);
-
-/**
- * Baseline (no prefetching) results, memoized per (workload, scale).
- * Thread-safe: concurrent callers compute each baseline exactly once,
- * and the returned reference is stable for the process lifetime.
- */
-const SimResults &baseline(const std::string &workload,
-                           const RunScale &scale);
-
-/** Percent-improvement row over the cached baselines (serial path). */
-std::vector<double>
-improvementRow(const std::string &workload,
-               const std::vector<SimResults> &series,
-               const RunScale &scale);
 
 /**
  * The bench-side face of the parallel sweep engine: collects run

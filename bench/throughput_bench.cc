@@ -5,13 +5,15 @@
  * only holds two tier-1 host-cost gates.
  *
  * For each Table 1 workload under the null and ebcp prefetchers it
- * runs `reps` rounds of up to two back-to-back runs -- profiler off,
- * then base -- each one Simulator on this thread, timed in thread-CPU
- * seconds. CPU time, not wall, so time slicing on a shared host
- * cannot trip a gate; back-to-back pairing cancels slow drift
- * (frequency, competing load); and the ratio gate reads the median
- * over reps, which discards the reps where a burst of interference
- * landed in one half of a pair.
+ * runs `reps` rounds of up to two back-to-back runs -- profiler off
+ * and base, the off leg first in even rounds and second in odd ones
+ * -- each one Simulator on this thread, timed in thread-CPU seconds.
+ * CPU time, not wall, so time slicing on a shared host cannot trip a
+ * gate; back-to-back pairing cancels slow drift (frequency, competing
+ * load); alternating the order cancels whatever the second run of a
+ * pair gains or loses from the first; and the ratio gate reads the
+ * median over reps, which discards the reps where a burst of
+ * interference landed in one half of a pair.
  *
  * Keys: warm=N measure=N (windows; EBCP_BENCH_SCALE honoured),
  *       reps=N            (rounds per configuration),
@@ -127,12 +129,16 @@ main(int argc, char **argv)
             std::vector<double> prof_ratios;
             for (std::uint64_t rep = 0; rep < reps; ++rep) {
                 double off = 0.0;
-                if (gate_prof) {
+                auto runOff = [&] {
                     prof::setEnabled(false);
                     off = timeRun(counters, w, pf, scale);
                     prof::setEnabled(true);
-                }
+                };
+                if (gate_prof && rep % 2 == 0)
+                    runOff();
                 const double base = timeRun(counters, w, pf, scale);
+                if (gate_prof && rep % 2 == 1)
+                    runOff();
                 if (rep == 0 || base < base_best)
                     base_best = base;
                 if (gate_prof)

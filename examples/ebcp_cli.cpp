@@ -251,77 +251,6 @@ exportTrace(TraceLog &tlog, const std::string &path)
     return 0;
 }
 
-/**
- * Single-run telemetry: the CLI speaks the sweep engine's record
- * contract, modelling itself as a one-descriptor sweep, so the same
- * consumers (tail -f, the metrics scraper) work on both.
- */
-struct CliTelemetry
-{
-    std::unique_ptr<harness::TelemetryStream> stream;
-    std::string metricsPath;
-    std::string label;
-    std::chrono::steady_clock::time_point start =
-        std::chrono::steady_clock::now();
-    bool finished = false;
-
-    void
-    open(const std::string &telemetry_path,
-         const std::string &metrics_path, const std::string &run_label)
-    {
-        metricsPath = metrics_path;
-        label = run_label;
-        if (!telemetry_path.empty()) {
-            stream = std::make_unique<harness::TelemetryStream>(
-                telemetry_path);
-            if (!stream->openStatus().ok()) {
-                warn("telemetry disabled: ",
-                     stream->openStatus().toString());
-                stream.reset();
-            }
-        }
-        if (!stream)
-            return;
-        stream->emitDeterministic("sweep_begin", harness::sweepBeginJson(1));
-        stream->emitLive("run_state",
-                         harness::liveRunStateJson(label, "running"));
-    }
-
-    void
-    finish(const Status &s, std::uint64_t insts)
-    {
-        if (finished)
-            return;
-        finished = true;
-        harness::MetricsSnapshot m;
-        m.runsTotal = 1;
-        m.completed = s.ok() ? 1 : 0;
-        m.failed = s.ok() ? 0 : 1;
-        m.measuredInsts = s.ok() ? insts : 0;
-        m.jobs = 1;
-        m.elapsedSeconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        m.instsPerSec = m.elapsedSeconds > 0.0
-                            ? static_cast<double>(m.measuredInsts) /
-                                  m.elapsedSeconds
-                            : 0.0;
-        m.done = true;
-        if (stream) {
-            stream->emitDeterministic(
-                "run_state",
-                harness::terminalRunStateJson(0, label, s, insts, false,
-                                              false));
-            stream->emitDeterministic("sweep_end", harness::sweepEndJson(m));
-        }
-        if (!metricsPath.empty()) {
-            Status ms = harness::writeMetricsSnapshot(metricsPath, m);
-            if (!ms.ok())
-                warn("metrics snapshot failed: ", ms.toString());
-        }
-    }
-};
-
 } // namespace
 
 int
@@ -379,7 +308,7 @@ main(int argc, char **argv)
     const std::string telemetry_out = cs.getString("telemetry_out", "");
     const std::string metrics_out = cs.getString("metrics_out", "");
     prof::setEnabled(cs.getBool("profile", true));
-    CliTelemetry telem;
+    const auto run_start = std::chrono::steady_clock::now();
 
     const std::string save_ckpt = cs.getString("save_ckpt", "");
     const std::string restore_ckpt = cs.getString("restore_ckpt", "");
@@ -481,7 +410,21 @@ main(int argc, char **argv)
     const std::string label =
         source_name + "/" + pf.name +
         (cores > 1 ? "/cmp" + std::to_string(cores) : "");
-    telem.open(telemetry_out, metrics_out, label);
+    // Telemetry sees this run as a one-run sweep, so the sweep
+    // engine's consumers (tail -f, the metrics scraper) read it too.
+    harness::SweepTelemetry telem(telemetry_out, metrics_out);
+    telem.begin(1, [&](std::size_t) { return label; });
+    telem.runState(0, "running");
+    auto endTelemetry = [&](const Status &s, std::uint64_t insts) {
+        telem.runDone(0, s, insts, false, false);
+        harness::SweepStats st;
+        st.launched = 1;
+        st.addRun(s, insts, false, false);
+        st.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - run_start)
+                             .count();
+        telem.end(st);
+    };
 
     TraceLog tlog;
     std::unique_ptr<IntervalSampler> sampler;
@@ -553,11 +496,11 @@ main(int argc, char **argv)
         }
         if (!trace_out.empty())
             exportTrace(tlog, trace_out);
-        telem.finish(res.status(), 0);
+        endTelemetry(res.status(), 0);
         return fail(res.status());
     }
     SimResults r = res.take();
-    telem.finish(Status(), r.insts);
+    endTelemetry(Status(), r.insts);
 
     std::cout << (cores > 1 ? std::to_string(cores) + "-core " : "")
               << "'" << source_name << "' with " << pf.name << ":\n"

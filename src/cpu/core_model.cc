@@ -6,7 +6,6 @@
 #include "ckpt/containers.hh"
 #include "cpu/decode_ahead.hh"
 #include "util/bitfield.hh"
-#include "util/profiler.hh"
 #include "verify/audit.hh"
 
 namespace ebcp
@@ -182,13 +181,6 @@ CoreModel::process(const TraceRecord &rec)
 
 void
 CoreModel::run(TraceSource &src, std::uint64_t count)
-{
-    EBCP_PROFILE_SCOPE(CoreLoop);
-    runBounded(src, count);
-}
-
-void
-CoreModel::runBounded(TraceSource &src, std::uint64_t count)
 {
     if (auditor_)
         retireLoop<true>(src, count);

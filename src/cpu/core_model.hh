@@ -66,7 +66,8 @@ class CoreModel
 
     /** Run @p count instructions from @p src in one uninterrupted
      * pass; stops early only when the watchdog trips or the source
-     * runs dry. */
+     * runs dry. Picks the audited or the unaudited instance of the
+     * retirement loop once per call. */
     void run(TraceSource &src, std::uint64_t count);
 
     /**
@@ -240,10 +241,6 @@ class CoreModel
     Tick watchdogGap_ = 0;
     bool watchdogTripped_ = false;
     double watchdogWallSeconds_ = 0.0;
-
-    /** The retirement loop behind run(): picks the audited or the
-     * unaudited instance of retireLoop() once. */
-    void runBounded(TraceSource &src, std::uint64_t count);
 
     /** One loop body, instantiated twice. The unaudited instance has
      * no state write-backs, record screening or retire hook. */

@@ -73,7 +73,7 @@ class DecodeAhead
 
     /** Runs shorter than this keep the inline path even on multi-core
      * hosts: thread startup would cost more than the overlap wins
-     * (the deadline-armed core runs in 8192-instruction chunks). */
+     * (a CMP interleaving turn is about 100 instructions). */
     static constexpr std::uint64_t kThreadedMin = 65536;
 
   public:

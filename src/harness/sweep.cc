@@ -10,7 +10,6 @@
 #include <mutex>
 #include <thread>
 
-#include "harness/telemetry.hh"
 #include "sim/api.hh"
 #include "trace/workloads.hh"
 
@@ -112,13 +111,13 @@ planWarmReuse(const std::vector<RunDesc> &descs,
     return warm;
 }
 
-/** Per-sweep execution context threaded into every run. */
+/** Per-sweep execution context threaded into every run. A run only
+ * reads it when it forks, and only SweepRunner::run plans forks. */
 struct ExecContext
 {
-    std::atomic<std::uint64_t> *warmBuilds = nullptr;
-    std::atomic<std::uint64_t> *warmForks = nullptr;
-    std::atomic<std::uint64_t> *coldFallbacks = nullptr;
-    TelemetryStream *telemetry = nullptr; //!< null = no streaming
+    SweepStats *stats = nullptr; //!< counts warm builds
+    std::mutex *statsMu = nullptr; //!< guards *stats
+    SweepTelemetry *telemetry = nullptr;
     bool corruptWarm = false;
     CkptFaultKind corruptKind = CkptFaultKind::CrcFlip;
     std::uint64_t corruptSeed = 1;
@@ -198,16 +197,14 @@ executeCold(const RunDesc &d)
     return out;
 }
 
-/** One run forking its measurement from the shared warm checkpoint
- * @p entry; runs cold instead when the checkpoint is bad. */
+/** Run @p i (@p d) forking its measurement from the shared warm
+ * checkpoint @p entry; runs cold instead when the checkpoint is bad. */
 RunResult
-executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
+executeWarm(const RunDesc &d, std::size_t i, const ExecContext &ctx,
+            WarmEntry &entry)
 {
     std::call_once(entry.once, [&] {
-        if (ctx.telemetry)
-            ctx.telemetry->emitLive(
-                "run_state",
-                liveRunStateJson(runLabel(d), "warm-building"));
+        ctx.telemetry->runState(i, "warm-building");
         RunSources ws = buildSources(d);
         if (!ws.status.ok()) {
             entry.status = ws.status;
@@ -227,8 +224,8 @@ executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
         entry.blob = blob.take();
         if (ctx.corruptWarm)
             injectCkptFault(entry.blob, ctx.corruptKind, ctx.corruptSeed);
-        if (ctx.warmBuilds)
-            ctx.warmBuilds->fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(*ctx.statsMu);
+        ++ctx.stats->warmBuilds;
     });
 
     auto coldFallback = [&](const char *why,
@@ -237,8 +234,6 @@ executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
              cause.toString(), "); falling back to a cold warm-up");
         RunResult r = executeCold(d);
         r.coldFallback = true;
-        if (ctx.coldFallbacks)
-            ctx.coldFallbacks->fetch_add(1, std::memory_order_relaxed);
         return r;
     };
 
@@ -259,11 +254,7 @@ executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
         return coldFallback("warm checkpoint restore failed", restored);
     }
     out.warmForked = true;
-    if (ctx.warmForks)
-        ctx.warmForks->fetch_add(1, std::memory_order_relaxed);
-    if (ctx.telemetry)
-        ctx.telemetry->emitLive(
-            "run_state", liveRunStateJson(runLabel(d), "warm-forked"));
+    ctx.telemetry->runState(i, "warm-forked");
     StatusOr<SimResults> r = sim.runMeasure(rs.sources, d.scale.measure);
     if (!r.ok()) {
         out.status = r.status().withContext(runLabel(d));
@@ -273,12 +264,13 @@ executeWarm(const RunDesc &d, const ExecContext &ctx, WarmEntry &entry)
     return out;
 }
 
-/** One run: forked from @p warm when given, otherwise cold. */
+/** Run @p i (@p d): forked from @p warm when given, otherwise cold. */
 RunResult
-executeRunCtx(const RunDesc &d, const ExecContext &ctx, WarmEntry *warm)
+executeRunCtx(const RunDesc &d, std::size_t i, const ExecContext &ctx,
+              WarmEntry *warm)
 {
     try {
-        return warm ? executeWarm(d, ctx, *warm) : executeCold(d);
+        return warm ? executeWarm(d, i, ctx, *warm) : executeCold(d);
     } catch (const std::exception &e) {
         RunResult out;
         out.status = Status(StatusCode::Corruption,
@@ -293,7 +285,7 @@ executeRunCtx(const RunDesc &d, const ExecContext &ctx, WarmEntry *warm)
 RunResult
 executeRun(const RunDesc &d)
 {
-    return executeRunCtx(d, ExecContext{}, nullptr);
+    return executeRunCtx(d, 0, ExecContext{}, nullptr);
 }
 
 SweepRunner::SweepRunner(unsigned jobs, SweepOptions opts)
@@ -304,55 +296,12 @@ std::vector<RunResult>
 SweepRunner::run(const std::vector<RunDesc> &descs)
 {
     const auto start = std::chrono::steady_clock::now();
-    std::vector<RunResult> results(descs.size());
-
-    std::unique_ptr<TelemetryStream> telemetry;
-    if (!opts_.telemetryPath.empty()) {
-        telemetry =
-            std::make_unique<TelemetryStream>(opts_.telemetryPath);
-        if (!telemetry->openStatus().ok()) {
-            // Telemetry must never fail the sweep: an unopenable
-            // stream degrades to none, with one structured warning.
-            warn("sweep telemetry disabled: ",
-                 telemetry->openStatus().toString());
-            telemetry.reset();
-        }
-    }
-
-    // Live progress counters, shared with the heartbeat thread.
-    std::atomic<std::uint64_t> liveCompleted{0}, liveFailed{0},
-        liveInsts{0};
-
-    // Deterministic records: sweep_begin, then one terminal run_state
-    // per descriptor in submission order. Finished runs park in a
-    // reorder buffer until every earlier descriptor has reported, so
-    // the deterministic subsequence is byte-identical at any jobs=N
-    // (pinned by tests/test_telemetry.cc).
-    std::mutex detMu;
-    std::vector<std::string> detSlot(descs.size());
-    std::vector<char> detReady(descs.size(), 0);
-    std::size_t detNext = 0;
-    auto emitTerminal = [&](std::size_t i, const RunResult &r) {
-        if (!telemetry)
-            return;
-        std::lock_guard<std::mutex> lock(detMu);
-        detSlot[i] = terminalRunStateJson(
-            i, runLabel(descs[i]), r.status, r.results.insts,
-            r.warmForked, r.coldFallback);
-        detReady[i] = 1;
-        while (detNext < detReady.size() && detReady[detNext]) {
-            telemetry->emitDeterministic("run_state", detSlot[detNext]);
-            detSlot[detNext].clear();
-            ++detNext;
-        }
+    auto elapsed = [&] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
     };
-    if (telemetry) {
-        telemetry->emitDeterministic("sweep_begin",
-                                     sweepBeginJson(descs.size()));
-        for (const RunDesc &d : descs)
-            telemetry->emitLive("run_state",
-                                liveRunStateJson(runLabel(d), "queued"));
-    }
+    std::vector<RunResult> results(descs.size());
 
     // The plan: the order workers claim runs in, and the warm
     // checkpoint (if any) each one forks from.
@@ -361,83 +310,59 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
     const std::vector<WarmEntry *> warmOf =
         opts_.warmReuse ? planWarmReuse(descs, warmEntries)
                         : std::vector<WarmEntry *>(descs.size(), nullptr);
+    const unsigned workers = static_cast<unsigned>(
+        std::min<std::size_t>(jobs_, order.size()));
 
-    std::atomic<std::uint64_t> warmBuilds{0}, warmForks{0},
-        coldFallbacks{0};
+    // stats_ is the sweep's one record: runs count into it under
+    // statsMu, the heartbeat copies it, and sweep_end reads it.
+    stats_ = SweepStats{};
+    stats_.launched = descs.size();
+    stats_.jobs = workers ? workers : 1;
+    std::mutex statsMu;
+    auto snapshot = [&] {
+        std::lock_guard<std::mutex> lock(statsMu);
+        SweepStats s = stats_;
+        s.wallSeconds = elapsed();
+        return s;
+    };
+
+    SweepTelemetry telemetry(opts_.telemetryPath, opts_.metricsPath);
+    telemetry.begin(descs.size(),
+                    [&](std::size_t i) { return runLabel(descs[i]); });
+
     ExecContext ctx;
-    ctx.warmBuilds = &warmBuilds;
-    ctx.warmForks = &warmForks;
-    ctx.coldFallbacks = &coldFallbacks;
-    ctx.telemetry = telemetry.get();
+    ctx.stats = &stats_;
+    ctx.statsMu = &statsMu;
+    ctx.telemetry = &telemetry;
     ctx.corruptWarm = corruptWarm_;
     ctx.corruptKind = corruptKind_;
     ctx.corruptSeed = corruptSeed_;
 
     auto runOne = [&](std::size_t i) {
-        if (telemetry)
-            telemetry->emitLive(
-                "run_state", liveRunStateJson(runLabel(descs[i]), "running"));
-        results[i] = executeRunCtx(descs[i], ctx, warmOf[i]);
-        const RunResult &out = results[i];
-        if (out.ok()) {
-            liveCompleted.fetch_add(1, std::memory_order_relaxed);
-            liveInsts.fetch_add(out.results.insts,
-                                std::memory_order_relaxed);
-        } else {
-            liveFailed.fetch_add(1, std::memory_order_relaxed);
+        telemetry.runState(i, "running");
+        results[i] = executeRunCtx(descs[i], i, ctx, warmOf[i]);
+        const RunResult &r = results[i];
+        {
+            std::lock_guard<std::mutex> lock(statsMu);
+            stats_.addRun(r.status, r.results.insts, r.warmForked,
+                          r.coldFallback);
         }
-        emitTerminal(i, out);
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, order.size()));
-
-    auto snapshotNow = [&](bool done) {
-        MetricsSnapshot m;
-        m.runsTotal = descs.size();
-        m.completed = liveCompleted.load(std::memory_order_relaxed);
-        m.failed = liveFailed.load(std::memory_order_relaxed);
-        m.measuredInsts = liveInsts.load(std::memory_order_relaxed);
-        m.warmBuilds = warmBuilds.load(std::memory_order_relaxed);
-        m.warmForks = warmForks.load(std::memory_order_relaxed);
-        m.coldFallbacks =
-            coldFallbacks.load(std::memory_order_relaxed);
-        m.jobs = workers ? workers : 1;
-        m.elapsedSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        m.instsPerSec = m.elapsedSeconds > 0.0
-                            ? static_cast<double>(m.measuredInsts) /
-                                  m.elapsedSeconds
-                            : 0.0;
-        m.done = done;
-        return m;
+        telemetry.runDone(i, r.status, r.results.insts, r.warmForked,
+                          r.coldFallback);
     };
 
     std::thread heartbeat;
     std::mutex hbMu;
     std::condition_variable hbCv;
     bool hbStop = false;
-    if (opts_.heartbeatSeconds > 0.0 &&
-        (telemetry || !opts_.metricsPath.empty())) {
+    if (opts_.heartbeatSeconds > 0.0 && telemetry.enabled()) {
         heartbeat = std::thread([&] {
             std::unique_lock<std::mutex> lock(hbMu);
             while (!hbCv.wait_for(
                 lock,
                 std::chrono::duration<double>(opts_.heartbeatSeconds),
-                [&] { return hbStop; })) {
-                const MetricsSnapshot m = snapshotNow(false);
-                if (telemetry)
-                    telemetry->emitLive("heartbeat", heartbeatJson(m));
-                if (!opts_.metricsPath.empty()) {
-                    Status ms =
-                        writeMetricsSnapshot(opts_.metricsPath, m);
-                    if (!ms.ok())
-                        warn("sweep metrics snapshot failed: ",
-                             ms.toString());
-                }
-            }
+                [&] { return hbStop; }))
+                telemetry.heartbeat(snapshot());
         });
     }
 
@@ -476,26 +401,9 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
         heartbeat.join();
     }
 
-    // Every run has finished, so the live counters are final.
-    const MetricsSnapshot totals = snapshotNow(true);
-    stats_ = SweepStats{};
-    stats_.launched = totals.runsTotal;
-    stats_.completed = totals.completed;
-    stats_.failed = totals.failed;
-    stats_.jobs = totals.jobs;
-    stats_.measuredInsts = totals.measuredInsts;
-    stats_.warmBuilds = totals.warmBuilds;
-    stats_.warmForks = totals.warmForks;
-    stats_.coldFallbacks = totals.coldFallbacks;
-    stats_.wallSeconds = totals.elapsedSeconds;
-
-    if (telemetry)
-        telemetry->emitDeterministic("sweep_end", sweepEndJson(totals));
-    if (!opts_.metricsPath.empty()) {
-        Status ms = writeMetricsSnapshot(opts_.metricsPath, totals);
-        if (!ms.ok())
-            warn("sweep metrics snapshot failed: ", ms.toString());
-    }
+    // Every run has finished, so stats_ is final.
+    stats_.wallSeconds = elapsed();
+    telemetry.end(stats_);
     return results;
 }
 

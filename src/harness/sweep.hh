@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "harness/run_desc.hh"
+#include "harness/telemetry.hh"
 #include "sim/api.hh"
 #include "trace/fault_injection.hh"
 #include "util/status.hh"
@@ -99,31 +100,6 @@ std::uint64_t warmFingerprint(const RunDesc &d);
  */
 std::vector<std::size_t> dispatchOrder(const std::vector<RunDesc> &descs);
 
-/** Aggregate accounting of one sweep execution. */
-struct SweepStats
-{
-    std::size_t launched = 0;  //!< descriptors submitted
-    std::size_t completed = 0; //!< runs that returned OK
-    std::size_t failed = 0;    //!< runs that returned a non-OK Status
-    unsigned jobs = 1;         //!< workers, capped at the run count (min 1)
-    double wallSeconds = 0.0;
-
-    /** Instructions measured across successful runs (warm excluded). */
-    std::uint64_t measuredInsts = 0;
-
-    std::size_t warmBuilds = 0;    //!< warm checkpoints built
-    std::size_t warmForks = 0;     //!< runs forked from a warm ckpt
-    std::size_t coldFallbacks = 0; //!< warm restores degraded to cold
-
-    /** Aggregate simulation throughput over the sweep's wall clock. */
-    double instsPerSec() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(measuredInsts) / wallSeconds
-                   : 0.0;
-    }
-};
-
 /**
  * Execute one descriptor in isolation. Bad workload / prefetcher
  * names, watchdog stalls and uncaught exceptions come back as the
@@ -149,7 +125,8 @@ class SweepRunner
      */
     std::vector<RunResult> run(const std::vector<RunDesc> &descs);
 
-    /** Accounting for the most recent run(). */
+    /** Accounting for the most recent run(): the record its
+     * sweep_end and final metrics snapshot were rendered from. */
     const SweepStats &stats() const { return stats_; }
 
     unsigned jobs() const { return jobs_; }

@@ -111,20 +111,6 @@ TelemetryStream::emit(const std::string &type, bool live,
     ++lines_;
 }
 
-void
-TelemetryStream::emitDeterministic(const std::string &type,
-                                   const std::string &data_raw)
-{
-    emit(type, false, data_raw);
-}
-
-void
-TelemetryStream::emitLive(const std::string &type,
-                          const std::string &data_raw)
-{
-    emit(type, true, data_raw);
-}
-
 std::uint64_t
 TelemetryStream::linesWritten() const
 {
@@ -152,8 +138,22 @@ readTelemetryFile(const std::string &path)
     return out;
 }
 
+void
+SweepStats::addRun(const Status &status, std::uint64_t insts,
+                   bool warm_forked, bool cold_fallback)
+{
+    if (status.ok()) {
+        ++completed;
+        measuredInsts += insts;
+    } else {
+        ++failed;
+    }
+    warmForks += warm_forked;
+    coldFallbacks += cold_fallback;
+}
+
 std::string
-formatPrometheus(const MetricsSnapshot &m)
+formatPrometheus(const SweepStats &s, bool done)
 {
     std::ostringstream os;
     auto gauge = [&](const char *name, const char *help, double v) {
@@ -162,38 +162,42 @@ formatPrometheus(const MetricsSnapshot &m)
            << name << " " << v << "\n";
     };
     gauge("ebcp_sweep_runs_total", "descriptors submitted to the sweep",
-          static_cast<double>(m.runsTotal));
+          static_cast<double>(s.launched));
     gauge("ebcp_sweep_runs_completed", "runs finished OK",
-          static_cast<double>(m.completed));
+          static_cast<double>(s.completed));
     gauge("ebcp_sweep_runs_failed", "runs finished with a non-OK status",
-          static_cast<double>(m.failed));
+          static_cast<double>(s.failed));
     gauge("ebcp_sweep_measured_insts",
           "instructions measured across completed runs",
-          static_cast<double>(m.measuredInsts));
+          static_cast<double>(s.measuredInsts));
     gauge("ebcp_sweep_insts_per_sec",
           "aggregate simulated instructions per wall second",
-          m.instsPerSec);
+          s.instsPerSec());
     gauge("ebcp_sweep_warm_builds", "warm checkpoints built",
-          static_cast<double>(m.warmBuilds));
+          static_cast<double>(s.warmBuilds));
     gauge("ebcp_sweep_warm_forks", "runs forked from a warm checkpoint",
-          static_cast<double>(m.warmForks));
+          static_cast<double>(s.warmForks));
     gauge("ebcp_sweep_cold_fallbacks",
           "warm restores that degraded to cold runs",
-          static_cast<double>(m.coldFallbacks));
+          static_cast<double>(s.coldFallbacks));
     gauge("ebcp_sweep_jobs", "worker threads in use",
-          static_cast<double>(m.jobs));
+          static_cast<double>(s.jobs));
     gauge("ebcp_sweep_elapsed_seconds", "wall seconds since sweep start",
-          m.elapsedSeconds);
+          s.wallSeconds);
     gauge("ebcp_sweep_done", "1 once the sweep has finished",
-          m.done ? 1.0 : 0.0);
+          done ? 1.0 : 0.0);
     return os.str();
 }
 
 Status
-writeMetricsSnapshot(const std::string &path, const MetricsSnapshot &m)
+writeMetricsSnapshot(const std::string &path, const SweepStats &s,
+                     bool done)
 {
-    return ckpt::atomicWriteFile(path, formatPrometheus(m));
+    return ckpt::atomicWriteFile(path, formatPrometheus(s, done));
 }
+
+namespace
+{
 
 std::string
 sweepBeginJson(std::uint64_t runs)
@@ -239,24 +243,24 @@ terminalRunStateJson(std::uint64_t index, const std::string &label,
 }
 
 std::string
-heartbeatJson(const MetricsSnapshot &m)
+heartbeatJson(const SweepStats &s)
 {
     std::ostringstream os;
     JsonWriter w(os);
     w.beginObject();
-    w.kv("runs", m.runsTotal);
-    w.kv("completed", m.completed);
-    w.kv("failed", m.failed);
-    w.kv("measured_insts", m.measuredInsts);
-    w.kv("insts_per_sec", m.instsPerSec);
-    w.kv("elapsed_seconds", m.elapsedSeconds);
+    w.kv("runs", s.launched);
+    w.kv("completed", s.completed);
+    w.kv("failed", s.failed);
+    w.kv("measured_insts", s.measuredInsts);
+    w.kv("insts_per_sec", s.instsPerSec());
+    w.kv("elapsed_seconds", s.wallSeconds);
     // Naive proportional ETA: wrong early, honest late -- and never
     // pretends precision it does not have.
-    const std::uint64_t finished = m.completed + m.failed;
-    const std::uint64_t remaining =
-        m.runsTotal - std::min(m.runsTotal, finished);
+    const std::size_t finished = s.completed + s.failed;
+    const std::size_t remaining =
+        s.launched - std::min(s.launched, finished);
     w.kv("eta_seconds", finished > 0
-                            ? m.elapsedSeconds *
+                            ? s.wallSeconds *
                                   static_cast<double>(remaining) /
                                   static_cast<double>(finished)
                             : 0.0);
@@ -265,20 +269,101 @@ heartbeatJson(const MetricsSnapshot &m)
 }
 
 std::string
-sweepEndJson(const MetricsSnapshot &m)
+sweepEndJson(const SweepStats &s)
 {
     std::ostringstream os;
     JsonWriter w(os);
     w.beginObject();
-    w.kv("runs", m.runsTotal);
-    w.kv("completed", m.completed);
-    w.kv("failed", m.failed);
-    w.kv("measured_insts", m.measuredInsts);
-    w.kv("warm_builds", m.warmBuilds);
-    w.kv("warm_forks", m.warmForks);
-    w.kv("cold_fallbacks", m.coldFallbacks);
+    w.kv("runs", s.launched);
+    w.kv("completed", s.completed);
+    w.kv("failed", s.failed);
+    w.kv("measured_insts", s.measuredInsts);
+    w.kv("warm_builds", s.warmBuilds);
+    w.kv("warm_forks", s.warmForks);
+    w.kv("cold_fallbacks", s.coldFallbacks);
     w.endObject();
     return os.str();
+}
+
+} // namespace
+
+SweepTelemetry::SweepTelemetry(const std::string &telemetry_path,
+                               std::string metrics_path)
+    : metricsPath_(std::move(metrics_path))
+{
+    if (telemetry_path.empty())
+        return;
+    stream_ = std::make_unique<TelemetryStream>(telemetry_path);
+    if (!stream_->openStatus().ok()) {
+        // Telemetry must never fail the sweep: an unopenable stream
+        // degrades to none, with one structured warning.
+        warn("telemetry disabled: ", stream_->openStatus().toString());
+        stream_.reset();
+    }
+}
+
+void
+SweepTelemetry::begin(std::size_t runs, Labeler label)
+{
+    if (!stream_)
+        return;
+    label_ = std::move(label);
+    parked_.resize(runs);
+    stream_->emit("sweep_begin", false, sweepBeginJson(runs));
+    for (std::size_t i = 0; i < runs; ++i)
+        runState(i, "queued");
+}
+
+void
+SweepTelemetry::runState(std::size_t i, const char *state)
+{
+    if (stream_)
+        stream_->emit("run_state", true, liveRunStateJson(label_(i), state));
+}
+
+void
+SweepTelemetry::runDone(std::size_t i, const Status &status,
+                        std::uint64_t insts, bool warm_forked,
+                        bool cold_fallback)
+{
+    if (!stream_)
+        return;
+    std::string record = terminalRunStateJson(
+        i, label_(i), status, insts, warm_forked, cold_fallback);
+    // Finished runs park until every earlier run has reported, so the
+    // deterministic subsequence is byte-identical at any jobs=N.
+    std::lock_guard<std::mutex> lock(mu_);
+    parked_[i] = std::move(record);
+    while (next_ < parked_.size() && !parked_[next_].empty()) {
+        stream_->emit("run_state", false, parked_[next_]);
+        parked_[next_].clear();
+        ++next_;
+    }
+}
+
+void
+SweepTelemetry::heartbeat(const SweepStats &s)
+{
+    if (stream_)
+        stream_->emit("heartbeat", true, heartbeatJson(s));
+    writeMetrics(s, false);
+}
+
+void
+SweepTelemetry::end(const SweepStats &s)
+{
+    if (stream_)
+        stream_->emit("sweep_end", false, sweepEndJson(s));
+    writeMetrics(s, true);
+}
+
+void
+SweepTelemetry::writeMetrics(const SweepStats &s, bool done)
+{
+    if (metricsPath_.empty())
+        return;
+    if (Status ms = writeMetricsSnapshot(metricsPath_, s, done); !ms.ok())
+        warn("metrics snapshot failed: ", ms.toString());
 }
 
 } // namespace ebcp::harness

@@ -3,8 +3,9 @@
  * Sweep telemetry streaming: CRC-tagged JSON-lines progress records
  * plus a Prometheus-style text metrics snapshot.
  *
- * SweepRunner, and the CLI as a one-run sweep, emit two interleaved
- * record classes into one `telemetry_out=` stream:
+ * One emitter, SweepTelemetry, writes every record for SweepRunner
+ * and for the CLI (a one-run sweep). A `telemetry_out=` stream holds
+ * two interleaved record classes:
  *
  *  - deterministic records (`"live": false`): sweep_begin, one
  *    terminal run_state per descriptor *in submission order* (a
@@ -26,9 +27,17 @@
  * `crc` is the CRC-32 of the rendered `data` object exactly as it
  * appears in the line; `data` is always the last member, so a reader
  * recovers the covered bytes without re-serializing. A torn or
- * damaged line is skipped and counted, never fatal. The `data` object
- * of every record type is rendered by the *Json() functions below, so
- * both emitters speak one schema.
+ * damaged line is skipped and counted, never fatal. The `data`
+ * objects, rendered only in telemetry.cc:
+ *
+ *   sweep_begin         {runs}
+ *   run_state (live)    {label, state}
+ *   run_state (final)   {index, label, state ("done" | "failed"), ok,
+ *                        code, warm_forked, cold_fallback, insts}
+ *   heartbeat           {runs, completed, failed, measured_insts,
+ *                        insts_per_sec, elapsed_seconds, eta_seconds}
+ *   sweep_end           {runs, completed, failed, measured_insts,
+ *                        warm_builds, warm_forks, cold_fallbacks}
  *
  * The metrics side (`metrics_out=`) is a whole-file snapshot in
  * Prometheus text exposition format, rewritten atomically (temp +
@@ -39,8 +48,11 @@
 #ifndef EBCP_HARNESS_TELEMETRY_HH
 #define EBCP_HARNESS_TELEMETRY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -79,14 +91,12 @@ class TelemetryStream
 
     Status openStatus() const { return openStatus_; }
 
-    /** Emit one deterministic record (its own seq space, in emission
-     * order -- the caller guarantees emission order is submission
-     * order). @p data_raw must be a complete JSON object. */
-    void emitDeterministic(const std::string &type,
-                           const std::string &data_raw);
-
-    /** Emit one live (scheduling-dependent) record. */
-    void emitLive(const std::string &type, const std::string &data_raw);
+    /** Emit one record. Deterministic (@p live false) and live
+     * records count in separate seq spaces, in emission order; for
+     * deterministic ones the caller makes that submission order.
+     * @p data_raw must be a complete JSON object. */
+    void emit(const std::string &type, bool live,
+              const std::string &data_raw);
 
     /** Lines successfully written so far. */
     std::uint64_t linesWritten() const;
@@ -101,9 +111,6 @@ class TelemetryStream
     static bool parseLine(const std::string &line, TelemetryRecord &out);
 
   private:
-    void emit(const std::string &type, bool live,
-              const std::string &data_raw);
-
     mutable std::mutex mu_;
     std::ofstream out_;
     Status openStatus_;
@@ -116,50 +123,104 @@ class TelemetryStream
  * file is an IoError; damage is not. */
 StatusOr<TelemetryFile> readTelemetryFile(const std::string &path);
 
-/** Point-in-time sweep metrics for the Prometheus snapshot. */
-struct MetricsSnapshot
+/**
+ * One sweep's counters: what SweepRunner::stats() returns, what the
+ * heartbeat and sweep_end records carry, and what the Prometheus
+ * snapshot exposes. A sweep fills one as its runs finish.
+ */
+struct SweepStats
 {
-    std::uint64_t runsTotal = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
+    std::size_t launched = 0;  //!< descriptors submitted
+    std::size_t completed = 0; //!< runs that returned OK
+    std::size_t failed = 0;    //!< runs that returned a non-OK Status
+    unsigned jobs = 1;         //!< workers, capped at the run count (min 1)
+    double wallSeconds = 0.0;
+
+    /** Instructions measured across successful runs (warm excluded). */
     std::uint64_t measuredInsts = 0;
-    std::uint64_t warmBuilds = 0;
-    std::uint64_t warmForks = 0;
-    std::uint64_t coldFallbacks = 0;
-    unsigned jobs = 0;
-    double elapsedSeconds = 0.0;
-    double instsPerSec = 0.0;
-    bool done = false;
+
+    std::size_t warmBuilds = 0;    //!< warm checkpoints built
+    std::size_t warmForks = 0;     //!< runs forked from a warm ckpt
+    std::size_t coldFallbacks = 0; //!< warm restores degraded to cold
+
+    /** Aggregate simulation throughput over the sweep's wall clock. */
+    double instsPerSec() const
+    {
+        return wallSeconds > 0.0
+                   ? static_cast<double>(measuredInsts) / wallSeconds
+                   : 0.0;
+    }
+
+    /** Count one finished run: its @p status, the @p insts it
+     * measured (counted only when OK) and how it warmed up. */
+    void addRun(const Status &status, std::uint64_t insts,
+                bool warm_forked, bool cold_fallback);
 };
 
-/** Render @p m in Prometheus text exposition format. */
-std::string formatPrometheus(const MetricsSnapshot &m);
+/** Render @p s in Prometheus text exposition format; @p done is the
+ * ebcp_sweep_done gauge. */
+std::string formatPrometheus(const SweepStats &s, bool done);
 
 /** formatPrometheus() + atomic whole-file replace (temp + rename). */
-Status writeMetricsSnapshot(const std::string &path,
-                            const MetricsSnapshot &m);
+Status writeMetricsSnapshot(const std::string &path, const SweepStats &s,
+                            bool done);
 
-/** `data` of sweep_begin: {runs}. */
-std::string sweepBeginJson(std::uint64_t runs);
+/**
+ * The one writer of the record contract above, for SweepRunner and
+ * for the CLI's one-run sweep. It owns the stream (an unopenable one
+ * warns once and degrades to none), the submission-order reorder
+ * buffer for terminal run states, and the metrics snapshot. The
+ * caller owns the counters and the clock, and hands a SweepStats to
+ * heartbeat() and end().
+ *
+ * Run states may be reported from any thread. Without a stream the
+ * per-run calls return at once: no record, no label, no buffer.
+ */
+class SweepTelemetry
+{
+  public:
+    /** Renders run @p i's display label; called only while a stream
+     * is open. */
+    using Labeler = std::function<std::string(std::size_t)>;
 
-/** `data` of a live run_state: {label, state}. */
-std::string liveRunStateJson(const std::string &label, const char *state);
+    /** @p telemetry_path and @p metrics_path may each be empty (off). */
+    SweepTelemetry(const std::string &telemetry_path,
+                   std::string metrics_path);
 
-/** `data` of run @p index's terminal run_state: {index, label, state
- * ("done" | "failed"), ok, code, warm_forked, cold_fallback, insts};
- * insts reads 0 unless @p status is OK. */
-std::string terminalRunStateJson(std::uint64_t index,
-                                 const std::string &label,
-                                 const Status &status, std::uint64_t insts,
-                                 bool warm_forked, bool cold_fallback);
+    /** Whether heartbeats have anywhere to go. */
+    bool enabled() const { return stream_ || !metricsPath_.empty(); }
 
-/** `data` of a heartbeat: @p m's progress, rate and a proportional
- * ETA. */
-std::string heartbeatJson(const MetricsSnapshot &m);
+    /** sweep_begin for @p runs runs, then each run's live `queued`
+     * state. Call once, before any other record. */
+    void begin(std::size_t runs, Labeler label);
 
-/** `data` of sweep_end: @p m's counters, without its wall-clock
- * fields. */
-std::string sweepEndJson(const MetricsSnapshot &m);
+    /** Live transient state of run @p i: "running", "warm-building"
+     * or "warm-forked". */
+    void runState(std::size_t i, const char *state);
+
+    /** Run @p i's terminal run_state, held back until every earlier
+     * run has reported. @p insts is ignored unless @p status is OK. */
+    void runDone(std::size_t i, const Status &status, std::uint64_t insts,
+                 bool warm_forked, bool cold_fallback);
+
+    /** A live heartbeat from @p s plus a metrics rewrite. */
+    void heartbeat(const SweepStats &s);
+
+    /** sweep_end from @p s, then the final metrics snapshot with
+     * ebcp_sweep_done 1. Every run must have reported. */
+    void end(const SweepStats &s);
+
+  private:
+    void writeMetrics(const SweepStats &s, bool done);
+
+    std::unique_ptr<TelemetryStream> stream_; //!< null: no stream
+    std::string metricsPath_;
+    Labeler label_;
+
+    std::mutex mu_; //!< guards the reorder buffer
+    std::vector<std::string> parked_; //!< finished runs' records
+    std::size_t next_ = 0; //!< first run not yet emitted
+};
 
 } // namespace ebcp::harness
 

@@ -81,16 +81,20 @@ tryCreatePrefetcher(const PrefetcherParams &p)
             return std::make_unique<SmsPrefetcher>(c);
         });
 
-    if (n == "solihin")
-        return makeValidated(p.solihin, [](const SolihinConfig &c) {
-            return std::make_unique<SolihinPrefetcher>(c, "solihin");
+    // The two Solihin variants are p.solihin (table size, table
+    // latency) with only the chain shape taken from the preset.
+    if (n == "solihin-3-2" || n == "solihin-6-1") {
+        const bool deep = n == "solihin-6-1";
+        const SolihinConfig shape = deep ? SolihinConfig::depth6width1()
+                                         : SolihinConfig::depth3width2();
+        SolihinConfig c = p.solihin;
+        c.depth = shape.depth;
+        c.width = shape.width;
+        return makeValidated(c, [deep](const SolihinConfig &sc) {
+            return std::make_unique<SolihinPrefetcher>(
+                sc, deep ? "solihin_6_1" : "solihin_3_2");
         });
-    if (n == "solihin-3-2")
-        return std::make_unique<SolihinPrefetcher>(
-            SolihinConfig::depth3width2(), "solihin_3_2");
-    if (n == "solihin-6-1")
-        return std::make_unique<SolihinPrefetcher>(
-            SolihinConfig::depth6width1(), "solihin_6_1");
+    }
 
     if (n == "dcpt")
         return makeValidated(p.dcpt, [](const DcptConfig &c) {

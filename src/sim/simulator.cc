@@ -172,6 +172,9 @@ Simulator::setSampler(IntervalSampler *sampler)
 Status
 Simulator::runPhase(SourceList src, std::uint64_t insts)
 {
+    // One profiler visit per phase, not per interleaving turn: a
+    // timed visit costs four clock reads.
+    EBCP_PROFILE_SCOPE(CoreLoop);
     if (cores() == 1) {
         cores_[0]->run(src[0], insts);
         return progressStatus(0);
@@ -208,6 +211,7 @@ Simulator::runSampled(TraceSource &src, std::uint64_t insts)
     // Drive the window in interval-sized chunks so the sampler sees
     // exact boundaries. Bit-exact vs one run() call: the core's loop
     // state lives entirely in its members.
+    EBCP_PROFILE_SCOPE(CoreLoop);
     CoreModel &core = *cores_[0];
     const std::uint64_t interval = sampler_->interval();
     std::uint64_t done = 0;

@@ -48,7 +48,7 @@ namespace prof
 enum class Phase : std::uint8_t
 {
     Decode,        //!< trace decode / batch refill
-    CoreLoop,      //!< CoreModel::run retirement loop
+    CoreLoop,      //!< a warm or measure phase of every core's loop
     PrefetchTrain, //!< prefetcher observeAccess
     PrefetchIssue, //!< L2Subsystem::issuePrefetch
     Audit,         //!< Auditor::runNow

@@ -21,7 +21,7 @@
  * Audits only ever *read* component state, so SimResults are
  * bit-identical whether auditing is on or off. With no auditor
  * attached, the core runs a retirement loop instance with no hook
- * sites at all (CoreModel::runBounded picks it once per call).
+ * sites at all (CoreModel::run picks it once per call).
  */
 
 #ifndef EBCP_VERIFY_AUDIT_HH

@@ -672,9 +672,13 @@ TEST(FactoryValidation, RejectsZeroDegreeEverywhere)
 TEST(FactoryValidation, RejectsGarbageTableSizes)
 {
     PrefetcherParams p;
-    p.name = "solihin";
-    p.solihin.tableEntries = 1000; // not a power of two
-    EXPECT_EQ(factoryStatus(p).code(), StatusCode::InvalidArgument);
+    for (const char *name : {"solihin-3-2", "solihin-6-1"}) {
+        SCOPED_TRACE(name);
+        p = {};
+        p.name = name;
+        p.solihin.tableEntries = 1000; // not a power of two
+        EXPECT_EQ(factoryStatus(p).code(), StatusCode::InvalidArgument);
+    }
 
     p = {};
     p.name = "ebcp";
@@ -710,6 +714,34 @@ TEST(FactoryValidation, RejectsGarbageTableSizes)
     p.name = "nextline";
     p.nextline.depth = 0;
     EXPECT_EQ(factoryStatus(p).code(), StatusCode::InvalidArgument);
+}
+
+TEST(FactoryValidation, SolihinVariantsTakeTheParamTableSize)
+{
+    // A one-entry table forgets chains a 1M-entry table keeps, so the
+    // two prefetch streams differ only if p.solihin.tableEntries
+    // reaches the variant.
+    const Addr seq[] = {0xA00, 0xB00, 0xC00, 0xD00, 0xE00, 0xF00, 0x1100};
+    for (const char *name : {"solihin-3-2", "solihin-6-1"}) {
+        SCOPED_TRACE(name);
+        std::vector<Addr> issued[2];
+        for (int big = 0; big < 2; ++big) {
+            PrefetcherParams p;
+            p.name = name;
+            p.solihin.tableEntries = big ? 1ULL << 20 : 1;
+            StatusOr<std::unique_ptr<Prefetcher>> pf =
+                tryCreatePrefetcher(p);
+            ASSERT_TRUE(pf.ok()) << pf.status().toString();
+            MockEngine eng;
+            pf.value()->setEngine(&eng);
+            for (int r = 0; r < 2; ++r)
+                for (int i = 0; i < 7; ++i)
+                    pf.value()->observeAccess(
+                        loadMiss(seq[i], r * 8000 + i * 600));
+            issued[big] = eng.issued;
+        }
+        EXPECT_NE(issued[0], issued[1]);
+    }
 }
 
 TEST(FactoryValidation, UnknownNameSuggestsNearest)

@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "harness/stats_json.hh"
+#include "stats/interval.hh"
 #include "trace/workloads.hh"
 #include "util/event_trace.hh"
 #include "util/json.hh"
@@ -176,6 +179,43 @@ TEST(Profiler, SimulationPopulatesExpectedPhases)
     EXPECT_NE(findNode(rep, "core_loop"), nullptr);
     EXPECT_NE(findNode(rep, "core_loop/prefetch_train"), nullptr);
     EXPECT_NE(findNode(rep, "core_loop/decode"), nullptr);
+}
+
+TEST(Profiler, CoreLoopIsOneVisitPerPhase)
+{
+    // Warm and measure are one core_loop visit each, however many
+    // interleaving turns (CMP) or sampler chunks they run in.
+    prof::setEnabled(true);
+    SimConfig cfg;
+    PrefetcherParams pf;
+    pf.name = "ebcp";
+    {
+        prof::resetThisThread();
+        Simulator sim(cfg, pf, 4);
+        std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+        std::vector<TraceSource *> srcs;
+        for (unsigned i = 0; i < 4; ++i) {
+            owned.push_back(makeWorkload("database", coreSeed(0, i, 4)));
+            srcs.push_back(owned.back().get());
+        }
+        sim.run(srcs, 20'000, 40'000);
+        const prof::Report rep = prof::snapshotThisThread();
+        const prof::NodeReport *core = findNode(rep, "core_loop");
+        ASSERT_NE(core, nullptr);
+        EXPECT_EQ(core->visits, 2u);
+    }
+    {
+        prof::resetThisThread();
+        Simulator sim(cfg, pf);
+        IntervalSampler sampler(sim.l2side().stats(), 5'000);
+        ASSERT_TRUE(sim.setSampler(&sampler).ok());
+        auto src = makeWorkload("database");
+        sim.run(*src, 20'000, 40'000);
+        const prof::Report rep = prof::snapshotThisThread();
+        const prof::NodeReport *core = findNode(rep, "core_loop");
+        ASSERT_NE(core, nullptr);
+        EXPECT_EQ(core->visits, 2u);
+    }
 }
 
 TEST(Profiler, ExportedSpansFormValidChromeTrace)

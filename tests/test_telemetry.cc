@@ -7,7 +7,8 @@
  * tolerance, schema of every record type a real sweep emits, the
  * Prometheus snapshot, and the headline determinism guarantee -- the
  * deterministic (live:false) record subsequence of a sweep is
- * byte-identical at jobs=1 and jobs=4.
+ * byte-identical at jobs=1 and jobs=4, and the CLI's one-run drive of
+ * the same emitter writes the sweep engine's records.
  */
 
 #include <gtest/gtest.h>
@@ -194,8 +195,8 @@ TEST(TelemetryStreamTest, OpenFailureDisablesButNeverThrows)
 {
     TelemetryStream stream("/nonexistent-dir-ebcp/telemetry.jsonl");
     EXPECT_FALSE(stream.openStatus().ok());
-    stream.emitDeterministic("sweep_begin", "{\"runs\":1}");
-    stream.emitLive("heartbeat", "{\"runs\":1}");
+    stream.emit("sweep_begin", false, "{\"runs\":1}");
+    stream.emit("heartbeat", true, "{\"runs\":1}");
     EXPECT_EQ(stream.linesWritten(), 0u);
 }
 
@@ -205,9 +206,8 @@ TEST(TelemetryStreamTest, TornTailIsSkippedNotFatal)
     {
         TelemetryStream stream(tmp.path);
         ASSERT_TRUE(stream.openStatus().ok());
-        stream.emitDeterministic("sweep_begin", "{\"runs\":2}");
-        stream.emitDeterministic("sweep_end",
-                                 "{\"runs\":2,\"completed\":2}");
+        stream.emit("sweep_begin", false, "{\"runs\":2}");
+        stream.emit("sweep_end", false, "{\"runs\":2,\"completed\":2}");
     }
     // Simulate a crash mid-write: append a truncated record.
     const std::string torn = TelemetryStream::formatLine(
@@ -398,38 +398,118 @@ TEST(TelemetryDeterminism, DetSubsequenceIdenticalWithCostliestRunsLast)
     EXPECT_EQ(det1, det4);
 }
 
+TEST(TelemetrySweep, OneRunEmitterMatchesSweepRunner)
+{
+    // The CLI drives the emitter as a one-run sweep with no
+    // heartbeat; its deterministic records must be the sweep
+    // engine's for the same descriptor, byte for byte, on an OK and
+    // on a failed run.
+    RunDesc ok = makeDescriptors(1).front();
+    RunDesc bad = ok;
+    bad.pf.name = "no-such-prefetcher";
+    for (const RunDesc &d : {ok, bad}) {
+        SCOPED_TRACE(d.pf.name);
+        SweepOptions opts;
+        opts.heartbeatSeconds = 0.0;
+        const std::vector<std::string> sweep =
+            sweepDeterministicLines({d}, 1, opts);
+
+        TempFile tmp("telemetry_one_run.jsonl");
+        {
+            SweepTelemetry telem(tmp.path, "");
+            telem.begin(1, [&](std::size_t) { return runLabel(d); });
+            telem.runState(0, "running");
+            const RunResult r = executeRun(d);
+            telem.runDone(0, r.status, r.results.insts, false, false);
+            SweepStats st;
+            st.launched = 1;
+            st.addRun(r.status, r.results.insts, false, false);
+            telem.end(st);
+        }
+        EXPECT_EQ(deterministicLines(tmp.path), sweep);
+        ASSERT_EQ(sweep.size(), 3u);
+    }
+}
+
+TEST(TelemetrySweep, DisabledEmitterRendersNothing)
+{
+    // No stream: not one label is rendered, whatever the caller
+    // reports, and with no metrics path nothing is written at all.
+    std::size_t labels = 0;
+    SweepTelemetry telem("", "");
+    EXPECT_FALSE(telem.enabled());
+    telem.begin(3, [&](std::size_t) {
+        ++labels;
+        return std::string("x");
+    });
+    for (std::size_t i = 0; i < 3; ++i) {
+        telem.runState(i, "running");
+        telem.runDone(i, Status(), 1, false, false);
+    }
+    SweepStats st;
+    telem.heartbeat(st);
+    telem.end(st);
+    EXPECT_EQ(labels, 0u);
+}
+
 TEST(TelemetryMetrics, PrometheusFormatIsComplete)
 {
-    MetricsSnapshot m;
-    m.runsTotal = 5;
-    m.completed = 3;
-    m.failed = 1;
-    m.measuredInsts = 123456;
-    m.warmBuilds = 1;
-    m.warmForks = 4;
-    m.coldFallbacks = 0;
-    m.jobs = 4;
-    m.elapsedSeconds = 1.5;
-    m.instsPerSec = 82304.0;
-    m.done = false;
+    SweepStats s;
+    s.launched = 5;
+    s.completed = 3;
+    s.failed = 1;
+    s.measuredInsts = 123456;
+    s.warmBuilds = 1;
+    s.warmForks = 4;
+    s.coldFallbacks = 0;
+    s.jobs = 4;
+    s.wallSeconds = 1.5;
 
-    const std::string text = formatPrometheus(m);
-    for (const char *gauge :
-         {"ebcp_sweep_runs_total 5", "ebcp_sweep_runs_completed 3",
-          "ebcp_sweep_runs_failed 1", "ebcp_sweep_measured_insts 123456",
-          "ebcp_sweep_warm_builds 1", "ebcp_sweep_warm_forks 4",
-          "ebcp_sweep_cold_fallbacks 0", "ebcp_sweep_jobs 4",
-          "ebcp_sweep_done 0"})
-        EXPECT_NE(text.find(gauge), std::string::npos) << gauge;
-    // Every sample is preceded by # HELP / # TYPE metadata.
-    EXPECT_NE(text.find("# HELP ebcp_sweep_runs_total"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE ebcp_sweep_insts_per_sec gauge"),
-              std::string::npos);
+    // The full text, as the exposition format writes it: every sample
+    // preceded by its # HELP / # TYPE metadata.
+    const std::string want =
+        "# HELP ebcp_sweep_runs_total descriptors submitted to the sweep\n"
+        "# TYPE ebcp_sweep_runs_total gauge\n"
+        "ebcp_sweep_runs_total 5\n"
+        "# HELP ebcp_sweep_runs_completed runs finished OK\n"
+        "# TYPE ebcp_sweep_runs_completed gauge\n"
+        "ebcp_sweep_runs_completed 3\n"
+        "# HELP ebcp_sweep_runs_failed runs finished with a non-OK status\n"
+        "# TYPE ebcp_sweep_runs_failed gauge\n"
+        "ebcp_sweep_runs_failed 1\n"
+        "# HELP ebcp_sweep_measured_insts instructions measured across "
+        "completed runs\n"
+        "# TYPE ebcp_sweep_measured_insts gauge\n"
+        "ebcp_sweep_measured_insts 123456\n"
+        "# HELP ebcp_sweep_insts_per_sec aggregate simulated instructions "
+        "per wall second\n"
+        "# TYPE ebcp_sweep_insts_per_sec gauge\n"
+        "ebcp_sweep_insts_per_sec 82304\n"
+        "# HELP ebcp_sweep_warm_builds warm checkpoints built\n"
+        "# TYPE ebcp_sweep_warm_builds gauge\n"
+        "ebcp_sweep_warm_builds 1\n"
+        "# HELP ebcp_sweep_warm_forks runs forked from a warm checkpoint\n"
+        "# TYPE ebcp_sweep_warm_forks gauge\n"
+        "ebcp_sweep_warm_forks 4\n"
+        "# HELP ebcp_sweep_cold_fallbacks warm restores that degraded to "
+        "cold runs\n"
+        "# TYPE ebcp_sweep_cold_fallbacks gauge\n"
+        "ebcp_sweep_cold_fallbacks 0\n"
+        "# HELP ebcp_sweep_jobs worker threads in use\n"
+        "# TYPE ebcp_sweep_jobs gauge\n"
+        "ebcp_sweep_jobs 4\n"
+        "# HELP ebcp_sweep_elapsed_seconds wall seconds since sweep start\n"
+        "# TYPE ebcp_sweep_elapsed_seconds gauge\n"
+        "ebcp_sweep_elapsed_seconds 1.5\n"
+        "# HELP ebcp_sweep_done 1 once the sweep has finished\n"
+        "# TYPE ebcp_sweep_done gauge\n"
+        "ebcp_sweep_done 0\n";
+    const std::string text = formatPrometheus(s, false);
+    EXPECT_EQ(text, want);
 
     TempFile tmp("metrics_snapshot.prom");
-    Status s = writeMetricsSnapshot(tmp.path, m);
-    ASSERT_TRUE(s.ok()) << s.toString();
+    Status st = writeMetricsSnapshot(tmp.path, s, false);
+    ASSERT_TRUE(st.ok()) << st.toString();
     std::ifstream in(tmp.path);
     std::string written((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());

@@ -161,24 +161,13 @@ class StubMem : public MemSystem
     unsigned lineBytes() const override { return 64; }
 };
 
-/** Replays an in-memory record vector as a zero-copy span source. */
+/** Replays an in-memory record vector, lending it in place. */
 class SpanReplay : public TraceSource
 {
   public:
     explicit SpanReplay(std::vector<TraceRecord> recs)
         : recs_(std::move(recs))
     {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (pos_ == recs_.size())
-            return false;
-        rec = recs_[pos_++];
-        return true;
-    }
-
-    bool spanSource() const override { return true; }
 
     std::size_t
     peekSpan(const TraceRecord **out, std::size_t max) override
@@ -202,7 +191,8 @@ recordedStream(const std::string &workload, std::size_t n)
 {
     auto w = makeWorkload(workload);
     std::vector<TraceRecord> out(n);
-    w->nextBatch(out.data(), n);
+    for (TraceRecord &rec : out)
+        w->next(rec);
     return out;
 }
 

@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "ckpt/containers.hh"
-#include "cpu/decode_ahead.hh"
 #include "util/bitfield.hh"
+#include "util/profiler.hh"
 #include "verify/audit.hh"
 
 namespace ebcp
@@ -192,15 +192,14 @@ template <bool Audited>
 void
 CoreModel::retireLoop(TraceSource &src, std::uint64_t count)
 {
-    // Records arrive through the decode-ahead pipe without a per-record
-    // copy. Span sources -- every synthetic workload -- lend their own
-    // record ring in place; other sources (trace files) decode into
-    // chunks, on a producer thread for long runs on multi-core hosts
-    // and inline otherwise. The pipe never over-pulls: over its
-    // lifetime it requests exactly `count` records, so the source is
-    // left positioned as if records had been pulled one at a time
-    // (except after a watchdog trip, where the run is abandoned).
-    DecodeAhead pipe(src, count);
+    // Records are timed in place in the source's own buffer (the
+    // generator's record ring, a decoded file chunk, the fault
+    // injector's buffer): no per-record copy. Each span is asked for
+    // at most the remaining budget, so over a run the source is
+    // consumed by exactly `count` records -- it is left positioned as
+    // if records had been pulled one at a time (except after a
+    // watchdog trip or audit abort, where the run is abandoned and the
+    // span being timed is never consumed).
     Tick prev_retire = s_.lastRetire;
     const Tick watchdog = watchdogLimit_;
     std::uint64_t remaining = count;
@@ -216,9 +215,15 @@ CoreModel::retireLoop(TraceSource &src, std::uint64_t count)
     const auto wall_start = std::chrono::steady_clock::now();
     while (remaining > 0) {
         const TraceRecord *batch = nullptr;
-        const std::size_t got = pipe.acquire(
-            &batch, static_cast<std::size_t>(std::min<std::uint64_t>(
-                        remaining, ~std::size_t{0})));
+        std::size_t got = 0;
+        {
+            EBCP_PROFILE_SCOPE(Decode);
+            got = src.peekSpan(
+                &batch, static_cast<std::size_t>(std::min<std::uint64_t>(
+                            remaining, ~std::size_t{0})));
+        }
+        if (got == 0)
+            return; // the source ran dry
         Sched s = s_;
         for (std::size_t i = 0; i < got; ++i) {
             // Screen the raw record before it shapes any timing: a
@@ -251,10 +256,8 @@ CoreModel::retireLoop(TraceSource &src, std::uint64_t count)
             }
         }
         s_ = s;
-        pipe.consume(got);
+        src.consumeSpan(got);
         remaining -= got;
-        if (got == 0)
-            return; // the source ran dry
     }
 }
 

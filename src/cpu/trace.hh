@@ -95,58 +95,35 @@ recordAuditError(const TraceRecord &r)
     return nullptr;
 }
 
-/** Pull-model trace source. */
+/**
+ * Pull-model trace source. The core pulls records one way only: it
+ * borrows a span of the source's own decoded records with peekSpan(),
+ * times them in place, and retires them with consumeSpan().
+ *
+ * Whatever a source reads ahead of its consumer -- a generated
+ * transaction in a ring, a decoded file chunk, a buffer of faulted
+ * records -- is part of its checkpointed cursor, so ckpt() taken
+ * between any two pulls resumes on exactly the next unconsumed record.
+ */
 class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next dynamic instruction.
-     * @return false when the source is exhausted (synthetic sources
-     *         never are).
+     * Lend the next records in place: *out points at up to @p max
+     * (>= 1) contiguous records, valid until the matching
+     * consumeSpan(). Nothing is consumed until then.
+     *
+     * @return the span length; 0 only at exhaustion (synthetic
+     *         sources never are).
      */
-    virtual bool next(TraceRecord &rec) = 0;
+    virtual std::size_t peekSpan(const TraceRecord **out,
+                                 std::size_t max) = 0;
 
-    /**
-     * Produce up to @p max records into @p out, returning how many
-     * were produced (fewer than @p max only at exhaustion, matching
-     * next()'s false). The core pulls records in batches so the
-     * per-instruction virtual dispatch amortizes; this default simply
-     * loops next(), and hot sources override it to fill @p out
-     * directly.
-     */
-    virtual std::size_t
-    nextBatch(TraceRecord *out, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
-
-    /**
-     * Zero-copy pull: a source that buffers decoded records
-     * contiguously can hand the consumer a span of that buffer
-     * instead of copying through nextBatch(). Pair every peekSpan()
-     * with a consumeSpan() of at most the returned length; the span
-     * stays valid until then. Sources answering false from
-     * spanSource() keep the default (never called by DecodeAhead).
-     */
-    virtual bool spanSource() const { return false; }
-
-    /** @return a span of at most @p max decoded records in *out, or 0
-     * at exhaustion. Only meaningful when spanSource() is true. */
-    virtual std::size_t
-    peekSpan(const TraceRecord **out, std::size_t max)
-    {
-        (void)out;
-        (void)max;
-        return 0;
-    }
-
-    /** Retire @p n records of the last peeked span. */
-    virtual void consumeSpan(std::size_t n) { (void)n; }
+    /** Retire the first @p n records of the last peeked span
+     * (@p n at most its length). */
+    virtual void consumeSpan(std::size_t n) = 0;
 
     /** Restart the source deterministically. */
     virtual void reset() = 0;
@@ -158,6 +135,22 @@ class TraceSource
      * records from the wrong position on restore.
      */
     virtual void ckpt(ckpt::Archiver &ar);
+
+    /**
+     * Copy out one record through the span interface (capture, tools
+     * and tests; the core pulls whole spans).
+     * @return false at exhaustion.
+     */
+    bool
+    next(TraceRecord &rec)
+    {
+        const TraceRecord *span = nullptr;
+        if (peekSpan(&span, 1) == 0)
+            return false;
+        rec = *span;
+        consumeSpan(1);
+        return true;
+    }
 };
 
 /** Serialize or restore one trace record field-by-field. */

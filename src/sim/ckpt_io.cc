@@ -97,13 +97,11 @@ serializeConfigIdentity(ckpt::Archiver &ar, const SimConfig &cfg)
     unsigned mshrs = cfg.l2Mshrs, pbe = cfg.prefetchBufferEntries,
              pbw = cfg.prefetchBufferWays;
     bool perfect = cfg.perfectL2;
-    std::string pname = cfg.prefetcher;
     Tick wd = cfg.watchdogTicks;
     ar.uns(mshrs);
     ar.uns(pbe);
     ar.uns(pbw);
     ar.boolean(perfect);
-    ar.str(pname);
     ar.u64(wd);
     faultIdentity(ar, cfg.faults);
 }
@@ -143,29 +141,12 @@ serializePrefetcherIdentity(ckpt::Archiver &ar, const PrefetcherParams &pf)
     ar.uns(sw);
     ar.u64(slat);
 
-    unsigned gi = pf.ghb.indexEntries, gg = pf.ghb.ghbEntries,
-             gd = pf.ghb.depth, gh = pf.ghb.maxHistory;
-    ar.uns(gi);
-    ar.uns(gg);
-    ar.uns(gd);
-    ar.uns(gh);
-
     unsigned nd = pf.nextline.depth, nl = pf.nextline.lineBytes;
     bool ni = pf.nextline.onInst, nld = pf.nextline.onLoad;
     ar.uns(nd);
     ar.uns(nl);
     ar.boolean(ni);
     ar.boolean(nld);
-
-    unsigned tt = pf.tcp.thtEntries, tps = pf.tcp.phtSets,
-             tpw = pf.tcp.phtWays, tl = pf.tcp.lineBytes,
-             tl1 = pf.tcp.l1Sets, tdg = pf.tcp.degree;
-    ar.uns(tt);
-    ar.uns(tps);
-    ar.uns(tpw);
-    ar.uns(tl);
-    ar.uns(tl1);
-    ar.uns(tdg);
 
     unsigned sr = pf.sms.regionBytes, sl = pf.sms.lineBytes,
              sa = pf.sms.agtEntries, sps = pf.sms.phtSets,

@@ -54,27 +54,25 @@ tryCreatePrefetcher(const PrefetcherParams &p)
             return std::make_unique<NextLinePrefetcher>(c);
         });
 
-    if (n == "ghb")
-        return makeValidated(p.ghb, [](const GhbConfig &c) {
-            return std::make_unique<GhbPrefetcher>(c, "ghb");
-        });
-    if (n == "ghb-small")
-        return std::make_unique<GhbPrefetcher>(GhbConfig::small(),
-                                               "ghb_small");
-    if (n == "ghb-large")
-        return std::make_unique<GhbPrefetcher>(GhbConfig::large(),
-                                               "ghb_large");
+    if (n == "ghb-small" || n == "ghb-large") {
+        const bool large = n == "ghb-large";
+        return makeValidated(
+            large ? GhbConfig::large() : GhbConfig::small(),
+            [large](const GhbConfig &c) {
+                return std::make_unique<GhbPrefetcher>(
+                    c, large ? "ghb_large" : "ghb_small");
+            });
+    }
 
-    if (n == "tcp")
-        return makeValidated(p.tcp, [](const TcpConfig &c) {
-            return std::make_unique<TcpPrefetcher>(c, "tcp");
-        });
-    if (n == "tcp-small")
-        return std::make_unique<TcpPrefetcher>(TcpConfig::small(),
-                                               "tcp_small");
-    if (n == "tcp-large")
-        return std::make_unique<TcpPrefetcher>(TcpConfig::large(),
-                                               "tcp_large");
+    if (n == "tcp-small" || n == "tcp-large") {
+        const bool large = n == "tcp-large";
+        return makeValidated(
+            large ? TcpConfig::large() : TcpConfig::small(),
+            [large](const TcpConfig &c) {
+                return std::make_unique<TcpPrefetcher>(
+                    c, large ? "tcp_large" : "tcp_small");
+            });
+    }
 
     if (n == "sms")
         return makeValidated(p.sms, [](const SmsConfig &c) {

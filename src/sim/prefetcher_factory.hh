@@ -37,15 +37,14 @@
 namespace ebcp
 {
 
-/** Per-scheme parameters; named presets override the relevant member. */
+/** Per-scheme parameters. The GHB and TCP presets are fixed paper
+ * configurations and take no member. */
 struct PrefetcherParams
 {
     std::string name = "null";
     EbcpConfig ebcp;
     SolihinConfig solihin;
-    GhbConfig ghb;
     NextLineConfig nextline;
-    TcpConfig tcp;
     SmsConfig sms;
     StreamPrefetcherConfig stream;
     DcptConfig dcpt;
@@ -63,7 +62,8 @@ tryCreatePrefetcher(const PrefetcherParams &p);
 /** As tryCreatePrefetcher(), but an unknown name is fatal. */
 std::unique_ptr<Prefetcher> createPrefetcher(const PrefetcherParams &p);
 
-/** All names the factory accepts (for tests and CLI help). */
+/** Every name the factory accepts, and only those (CLI help, name
+ * suggestions, tests). */
 std::vector<std::string> prefetcherNames();
 
 } // namespace ebcp

@@ -7,8 +7,6 @@
 #ifndef EBCP_SIM_SIM_CONFIG_HH
 #define EBCP_SIM_SIM_CONFIG_HH
 
-#include <string>
-
 #include "cache/cache_config.hh"
 #include "cpu/core_config.hh"
 #include "mem/mem_config.hh"
@@ -38,9 +36,6 @@ struct SimConfig
      * model's decomposition, Section 2.1).
      */
     bool perfectL2 = false;
-
-    /** Prefetcher selection for the factory ("null", "ebcp", ...). */
-    std::string prefetcher = "null";
 
     /**
      * Forward-progress watchdog: maximum tolerated gap (in ticks)

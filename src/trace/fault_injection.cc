@@ -135,38 +135,76 @@ FaultInjectingTraceSource::flipOneBit(TraceRecord &rec)
     ++bitflips_;
 }
 
-bool
-FaultInjectingTraceSource::next(TraceRecord &rec)
+std::size_t
+FaultInjectingTraceSource::peekSpan(const TraceRecord **out,
+                                    std::size_t max)
 {
-    if (truncated_)
-        return false;
-    if (plan_.traceTruncate && delivered_ >= plan_.truncateAfter) {
-        truncated_ = true;
-        ++truncations_;
-        return false;
-    }
+    if (bufPos_ == buf_.size())
+        refill(std::min(max, kMaxBuffered));
+    *out = buf_.data() + bufPos_;
+    return std::min(max, buf_.size() - bufPos_);
+}
 
-    if (plan_.traceShortRead && rng_.chance(plan_.rate)) {
-        // A short read loses a small run of consecutive records.
-        const std::uint32_t n = 1 + rng_.below(16);
-        TraceRecord lost;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (!inner_.next(lost))
-                return false;
-            ++recordsDropped_;
+void
+FaultInjectingTraceSource::consumeSpan(std::size_t n)
+{
+    bufPos_ += n;
+}
+
+void
+FaultInjectingTraceSource::refill(std::size_t max)
+{
+    buf_.clear();
+    bufPos_ = 0;
+
+    // A cursor into the inner source's current span. Records are taken
+    // from it one at a time and handed back with one consumeSpan() per
+    // span, so the inner source advances by exactly what was taken.
+    const TraceRecord *span = nullptr;
+    std::size_t len = 0;
+    std::size_t used = 0;
+    const auto take = [&]() -> const TraceRecord * {
+        if (used == len) {
+            inner_.consumeSpan(used);
+            used = 0;
+            len = inner_.peekSpan(&span, max - buf_.size());
+            if (len == 0)
+                return nullptr;
         }
-        ++shortReads_;
-    }
+        return &span[used++];
+    };
 
-    if (!inner_.next(rec))
-        return false;
+    while (buf_.size() < max && !truncated_) {
+        if (plan_.traceTruncate && delivered_ >= plan_.truncateAfter) {
+            truncated_ = true;
+            ++truncations_;
+            break;
+        }
 
-    if (plan_.traceBitflip && rng_.chance(plan_.rate)) {
-        flipOneBit(rec);
-        sanitizeRecord(rec);
+        if (plan_.traceShortRead && rng_.chance(plan_.rate)) {
+            // A short read loses a small run of consecutive records.
+            const std::uint32_t n = 1 + rng_.below(16);
+            std::uint32_t lost = 0;
+            while (lost < n && take()) {
+                ++lost;
+                ++recordsDropped_;
+            }
+            if (lost < n)
+                break; // the inner source ran dry
+            ++shortReads_;
+        }
+
+        const TraceRecord *rec = take();
+        if (!rec)
+            break;
+        TraceRecord &out = buf_.emplace_back(*rec);
+        if (plan_.traceBitflip && rng_.chance(plan_.rate)) {
+            flipOneBit(out);
+            sanitizeRecord(out);
+        }
+        ++delivered_;
     }
-    ++delivered_;
-    return true;
+    inner_.consumeSpan(used);
 }
 
 void
@@ -177,6 +215,8 @@ FaultInjectingTraceSource::reset()
                 static_cast<std::uint64_t>(FaultStream::TraceSource));
     delivered_ = 0;
     truncated_ = false;
+    buf_.clear();
+    bufPos_ = 0;
 }
 
 void
@@ -186,6 +226,14 @@ FaultInjectingTraceSource::ckpt(ckpt::Archiver &ar)
     ckpt::ckptPcg32(ar, rng_);
     ar.u64(delivered_);
     ar.boolean(truncated_);
+    ar.vec(buf_, ckptRecord);
+    ar.sz(bufPos_);
+    if (!ar.saving() && ar.ok() && bufPos_ > buf_.size()) {
+        ar.fail(corruptionError("fault cursor points past the buffered "
+                                "records (", bufPos_, " > ", buf_.size(),
+                                ")"));
+        return;
+    }
     stats_.ckpt(ar);
 }
 

@@ -22,6 +22,8 @@
 #ifndef EBCP_TRACE_FAULT_INJECTION_HH
 #define EBCP_TRACE_FAULT_INJECTION_HH
 
+#include <vector>
+
 #include "cpu/trace.hh"
 #include "stats/group.hh"
 #include "util/fault.hh"
@@ -74,15 +76,26 @@ class FaultInjectingTraceSource : public TraceSource
     /** @p inner must outlive this wrapper. */
     FaultInjectingTraceSource(TraceSource &inner, const FaultPlan &plan);
 
-    bool next(TraceRecord &rec) override;
+    /**
+     * Lend the next faulted records. When the buffer is drained it is
+     * refilled with at most @p max (and at most kMaxBuffered) records
+     * walked from the inner source's spans, each with the per-record
+     * draws in a fixed order: truncate, short read, then bit flip plus
+     * sanitize. The inner source is consumed only as far as those
+     * records reach, so a pull never runs past the consumer's budget.
+     */
+    std::size_t peekSpan(const TraceRecord **out,
+                         std::size_t max) override;
+    void consumeSpan(std::size_t n) override;
 
     /** Restart both the wrapper's fault stream and the inner source,
      * reproducing the exact same fault sequence. */
     void reset() override;
 
-    /** Serialize or restore the fault cursor together with the inner
-     * source's cursor, so a restored run replays the identical
-     * remainder of the fault sequence. */
+    /** Serialize or restore the fault cursor -- including faulted
+     * records not yet consumed -- together with the inner source's
+     * cursor, so a restored run replays the identical remainder of the
+     * fault sequence. */
     void ckpt(ckpt::Archiver &ar) override;
 
     std::uint64_t bitflipsInjected() const { return bitflips_.value(); }
@@ -102,13 +115,22 @@ class FaultInjectingTraceSource : public TraceSource
     StatGroup &stats() { return stats_; }
 
   private:
+    /** Records faulted per refill at most: bounds the buffer however
+     * large the consumer's budget. */
+    static constexpr std::size_t kMaxBuffered = 1024;
+
+    /** Fault up to @p max records into the drained buffer. */
+    void refill(std::size_t max);
+
     void flipOneBit(TraceRecord &rec);
 
     TraceSource &inner_;
     FaultPlan plan_;
     Pcg32 rng_;
-    std::uint64_t delivered_ = 0;
+    std::uint64_t delivered_ = 0; //!< records faulted into buf_ so far
     bool truncated_ = false;
+    std::vector<TraceRecord> buf_; //!< faulted, not yet consumed
+    std::size_t bufPos_ = 0;
 
     StatGroup stats_{"fault_injection"};
     Scalar bitflips_{"bitflips", "record bit-flip faults injected"};

@@ -3,10 +3,10 @@
  * A growable power-of-two ring buffer of trace records.
  *
  * SyntheticWorkload generates a whole transaction's records at once
- * and the core drains them one by one. A std::deque pays block
- * allocation/deallocation churn for that producer/consumer pattern;
- * this ring reaches a high-water capacity during the first few
- * transactions and then recycles the same storage forever -- zero
+ * and the core reads them in place, a span at a time. A std::deque
+ * pays block allocation/deallocation churn for that producer/consumer
+ * pattern; this ring reaches a high-water capacity during the first
+ * few transactions and then recycles the same storage forever -- zero
  * steady-state allocation on the record path. RingStats counts grows
  * so tests can assert exactly that.
  */
@@ -35,7 +35,7 @@ struct RingStats
 
 /**
  * FIFO ring of T with power-of-two capacity. Grows by doubling when
- * full; never shrinks, so a warmed ring serves pushSlot()/popFront()
+ * full; never shrinks, so a warmed ring serves pushSlot()/popN()
  * without touching the allocator.
  */
 template <typename T>
@@ -117,42 +117,6 @@ class RecordRing
         stats_.pushes += n;
     }
 
-    /** Oldest element. */
-    const T &
-    front() const
-    {
-        panic_if(size_ == 0, "front() on an empty RecordRing");
-        return slots_[head_];
-    }
-
-    /** Drop the oldest element (its slot is recycled, not destroyed). */
-    void
-    popFront()
-    {
-        panic_if(size_ == 0, "popFront() on an empty RecordRing");
-        head_ = (head_ + 1) & mask_;
-        --size_;
-        ++stats_.pops;
-    }
-
-    /**
-     * Copy the @p n oldest elements into @p out and drop them: one
-     * bounds check and at most two contiguous copies (the ring can
-     * wrap once), instead of n front()/popFront() round trips.
-     */
-    void
-    drainInto(T *out, std::size_t n)
-    {
-        panic_if(n > size_, "drainInto() past the RecordRing size");
-        const std::size_t cap = slots_.size();
-        const std::size_t first = std::min(n, cap - head_);
-        std::copy_n(slots_.data() + head_, first, out);
-        std::copy_n(slots_.data(), n - first, out + first);
-        head_ = (head_ + n) & mask_;
-        size_ -= n;
-        stats_.pops += n;
-    }
-
     /**
      * Expose the oldest elements in place: @p *out points at the
      * first contiguous segment (the ring wraps at most once, so up to
@@ -168,7 +132,8 @@ class RecordRing
         return std::min(size_, slots_.size() - head_);
     }
 
-    /** Drop the @p n oldest elements without copying them out. */
+    /** Drop the @p n oldest elements (their slots are recycled, not
+     * destroyed). */
     void
     popN(std::size_t n)
     {

@@ -101,16 +101,6 @@ SyntheticWorkload::reset()
     oneShot_ = 0;
 }
 
-bool
-SyntheticWorkload::next(TraceRecord &rec)
-{
-    while (buf_.empty())
-        generateTransaction();
-    rec = buf_.front();
-    buf_.popFront();
-    return true;
-}
-
 std::size_t
 SyntheticWorkload::peekSpan(const TraceRecord **out, std::size_t max)
 {
@@ -124,22 +114,6 @@ void
 SyntheticWorkload::consumeSpan(std::size_t n)
 {
     buf_.popN(n);
-}
-
-std::size_t
-SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t max)
-{
-    // Drain in ring-sized gulps: one bounds check and a bulk copy per
-    // buffered span instead of a front()/popFront() pair per record.
-    std::size_t n = 0;
-    while (n < max) {
-        while (buf_.empty())
-            generateTransaction();
-        const std::size_t take = std::min(max - n, buf_.size());
-        buf_.drainInto(out + n, take);
-        n += take;
-    }
-    return max;
 }
 
 namespace

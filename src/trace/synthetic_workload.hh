@@ -36,13 +36,9 @@ class SyntheticWorkload : public TraceSource
   public:
     explicit SyntheticWorkload(const WorkloadConfig &cfg);
 
-    bool next(TraceRecord &rec) override;
-    std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
-
-    // Zero-copy pull: the consumer reads the record ring in place (a
-    // whole transaction is buffered contiguously modulo one wrap), so
-    // the generate->consume path performs no per-record copies at all.
-    bool spanSource() const override { return true; }
+    // The consumer reads the record ring in place (a whole
+    // transaction is buffered contiguously modulo one wrap), so the
+    // generate->consume path performs no per-record copies at all.
     std::size_t peekSpan(const TraceRecord **out,
                          std::size_t max) override;
     void consumeSpan(std::size_t n) override;

@@ -43,6 +43,9 @@ static_assert(sizeof(ChunkHeader) == 8, "chunk header layout");
 /** Sanity bound on chunk_records: a chunk stays well under 32MB. */
 constexpr unsigned MaxChunkRecords = 1u << 20;
 
+/** Records decoded per refill of a v1 (chunkless) stream. */
+constexpr std::size_t kV1BlockRecords = 1024;
+
 DiskRecord
 pack(const TraceRecord &r)
 {
@@ -315,15 +318,10 @@ FileTraceSource::fillFromChunk()
             return false;
         }
 
-        // Chunk payloads come from the free-list pool: the first chunk
-        // sizes the buffer, every later chunk reuses it (chunks share
-        // one fixed record budget, so the capacity never grows again).
-        PoolLease<std::vector<unsigned char>> payload_lease(payloadPool_);
-        std::vector<unsigned char> &payload = *payload_lease;
-        payload.resize(static_cast<std::size_t>(h.count) *
-                       sizeof(DiskRecord));
-        if (std::fread(payload.data(), 1, payload.size(), file_) !=
-            payload.size()) {
+        payload_.resize(static_cast<std::size_t>(h.count) *
+                        sizeof(DiskRecord));
+        if (std::fread(payload_.data(), 1, payload_.size(), file_) !=
+            payload_.size()) {
             ++truncatedTails_;
             if (policy_ == TraceReadPolicy::Strict) {
                 status_ = corruptionError("trace file '", path_,
@@ -332,7 +330,7 @@ FileTraceSource::fillFromChunk()
             }
             return false;
         }
-        if (crc32(payload.data(), payload.size()) != h.crc) {
+        if (crc32(payload_.data(), payload_.size()) != h.crc) {
             if (!onCorrupt("chunk CRC mismatch"))
                 return false;
             recordsSkipped_ += h.count;
@@ -340,63 +338,64 @@ FileTraceSource::fillFromChunk()
         }
 
         ++chunksRead_;
-        buffer_.resize(h.count);
-        for (std::uint32_t i = 0; i < h.count; ++i) {
-            DiskRecord d;
-            std::memcpy(&d, payload.data() + i * sizeof(DiskRecord),
-                        sizeof(d));
-            buffer_[i] = unpack(d);
-            if (sanitizeRecord(buffer_[i]))
-                ++recordsSanitized_;
-        }
-        bufferPos_ = 0;
+        decodePayload(h.count);
         return true;
     }
 }
 
 bool
-FileTraceSource::nextV1(TraceRecord &rec)
+FileTraceSource::fillV1()
 {
-    DiskRecord d;
-    const std::size_t got = std::fread(&d, 1, sizeof(d), file_);
-    if (got == 0)
-        return false;
-    if (got < sizeof(d)) {
-        // v1 has no CRC; a partial record at EOF is the only
-        // detectable damage.
-        ++truncatedTails_;
-        if (policy_ == TraceReadPolicy::Strict) {
-            status_ = corruptionError("trace file '", path_,
-                                      "': truncated record");
-            ended_ = true;
+    // v1 has no chunks: read a block of whole records. A partial
+    // record at EOF is the only detectable damage; it is left unread
+    // behind the whole records before it, so it is reported once
+    // they have been consumed.
+    payload_.resize(kV1BlockRecords * sizeof(DiskRecord));
+    const std::size_t got =
+        std::fread(payload_.data(), 1, payload_.size(), file_);
+    const std::size_t whole = got / sizeof(DiskRecord);
+    const std::size_t tail = got % sizeof(DiskRecord);
+    if (whole == 0) {
+        if (tail != 0) {
+            ++truncatedTails_;
+            if (policy_ == TraceReadPolicy::Strict) {
+                status_ = corruptionError("trace file '", path_,
+                                          "': truncated record");
+                ended_ = true;
+            }
         }
         return false;
     }
-    rec = unpack(d);
-    if (sanitizeRecord(rec))
-        ++recordsSanitized_;
+    if (tail != 0)
+        std::fseek(file_, -static_cast<long>(tail), SEEK_CUR);
+    decodePayload(whole);
     return true;
 }
 
+void
+FileTraceSource::decodePayload(std::size_t count)
+{
+    buffer_.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        DiskRecord d;
+        std::memcpy(&d, payload_.data() + i * sizeof(DiskRecord),
+                    sizeof(d));
+        buffer_[i] = unpack(d);
+        if (sanitizeRecord(buffer_[i]))
+            ++recordsSanitized_;
+    }
+    bufferPos_ = 0;
+}
+
 bool
-FileTraceSource::next(TraceRecord &rec)
+FileTraceSource::refill()
 {
     if (ended_)
         return false;
 
     for (int pass = 0; pass < 2; ++pass) {
-        if (version_ == 1) {
-            if (nextV1(rec)) {
-                ++read_;
-                return true;
-            }
-        } else {
-            if (bufferPos_ < buffer_.size() || fillFromChunk()) {
-                rec = buffer_[bufferPos_++];
-                ++read_;
-                return true;
-            }
-        }
+        if (version_ == 1 ? fillV1() : fillFromChunk())
+            return true;
         if (ended_ || !loop_)
             return false;
         // End of data: wrap to the first record, as the generator
@@ -407,6 +406,23 @@ FileTraceSource::next(TraceRecord &rec)
         ++loops_;
     }
     return false; // empty (or fully corrupt) trace: nothing to loop
+}
+
+std::size_t
+FileTraceSource::peekSpan(const TraceRecord **out, std::size_t max)
+{
+    if (bufferPos_ == buffer_.size() && !refill())
+        return 0;
+    *out = buffer_.data() + bufferPos_;
+    const std::size_t avail = buffer_.size() - bufferPos_;
+    return avail < max ? avail : max;
+}
+
+void
+FileTraceSource::consumeSpan(std::size_t n)
+{
+    bufferPos_ += n;
+    read_ += n;
 }
 
 void

@@ -37,7 +37,6 @@
 
 #include "cpu/trace.hh"
 #include "stats/group.hh"
-#include "util/object_pool.hh"
 #include "util/status.hh"
 
 namespace ebcp
@@ -125,7 +124,11 @@ class FileTraceSource : public TraceSource
     FileTraceSource(const FileTraceSource &) = delete;
     FileTraceSource &operator=(const FileTraceSource &) = delete;
 
-    bool next(TraceRecord &rec) override;
+    /** Lend the decoded records of the current chunk (v2) or block
+     * of records (v1) in place. */
+    std::size_t peekSpan(const TraceRecord **out,
+                         std::size_t max) override;
+    void consumeSpan(std::size_t n) override;
     void reset() override;
 
     /**
@@ -138,8 +141,8 @@ class FileTraceSource : public TraceSource
 
     /**
      * Ok while reading is healthy. Under the Strict policy this turns
-     * into a Corruption/IoError status when next() hits a bad chunk
-     * (next() then returns false); callers at the boundary check it
+     * into a Corruption/IoError status when reading hits a bad chunk
+     * (peekSpan() then returns 0); callers at the boundary check it
      * after the run.
      */
     const Status &status() const { return status_; }
@@ -184,11 +187,19 @@ class FileTraceSource : public TraceSource
 
     Status readHeader();
 
+    /** Refill buffer_ from the next chunk, wrapping at end-of-data
+     * when looping; false when no records remain. */
+    bool refill();
+
     /** Refill buffer_ from the next v2 chunk; false at end-of-data. */
     bool fillFromChunk();
 
-    /** One record from a v1 stream; false at end-of-data. */
-    bool nextV1(TraceRecord &rec);
+    /** Refill buffer_ from the next block of v1 records; false at
+     * end-of-data. */
+    bool fillV1();
+
+    /** Unpack @p count packed records from payload_ into buffer_. */
+    void decodePayload(std::size_t count);
 
     /** React to a bad chunk per policy_. @return true to keep reading. */
     bool onCorrupt(const std::string &what);
@@ -207,17 +218,9 @@ class FileTraceSource : public TraceSource
 
     std::vector<TraceRecord> buffer_; //!< records of the current chunk
     std::size_t bufferPos_ = 0;
-    //! Recycled chunk-payload buffers (no per-chunk allocation).
-    FreeListPool<std::vector<unsigned char>> payloadPool_;
-
-  public:
-    /** Payload-buffer reuse counters. */
-    const PoolStats &payloadPoolStats() const
-    {
-        return payloadPool_.stats();
-    }
-
-  private:
+    //! Packed bytes of the chunk being read; sized by the first chunk
+    //! and reused for every later one.
+    std::vector<unsigned char> payload_;
 
     StatGroup stats_{"trace_source"};
     Scalar chunksRead_{"chunks_read", "CRC-verified chunks delivered"};

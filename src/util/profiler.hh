@@ -47,7 +47,7 @@ namespace prof
 /** The instrumented phases. Order is the child-table index. */
 enum class Phase : std::uint8_t
 {
-    Decode,        //!< trace decode / batch refill
+    Decode,        //!< TraceSource::peekSpan: generation or decode
     CoreLoop,      //!< a warm or measure phase of every core's loop
     PrefetchTrain, //!< prefetcher observeAccess
     PrefetchIssue, //!< L2Subsystem::issuePrefetch
@@ -123,7 +123,7 @@ namespace detail
 // under a container's seccomp filter -- stays far off the hot paths;
 // the perf-smoke max_profiler_overhead gate is what holds this honest.
 inline constexpr std::uint32_t StrideMask[NumPhases] = {
-    255,  // Decode: one refill per 1024 records, still frequent
+    255,  // Decode: one per borrowed span, still frequent
     0,    // CoreLoop: once per run() call
     1023, // PrefetchTrain: fires per L2 access
     1023, // PrefetchIssue: fires per issued prefetch

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "harness/sweep.hh"
 #include "sim/simulator.hh"
 #include "trace/fault_injection.hh"
+#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 #include "util/crc32.hh"
 
@@ -565,6 +567,176 @@ TEST(CkptRoundtrip, TraceCursorResumesMidStream)
         ASSERT_EQ(ra.addr, rb.addr);
         ASSERT_EQ(static_cast<int>(ra.op), static_cast<int>(rb.op));
     }
+}
+
+namespace
+{
+
+/**
+ * Warm a fresh simulator over the source @p make builds, checkpoint it
+ * and measure on; then restore the checkpoint into a second fresh
+ * simulator and source and measure again. The two measured windows
+ * must be bit-identical, which holds only if the source's checkpointed
+ * cursor covers everything it had read ahead of the core.
+ */
+template <typename MakeSource>
+void
+expectSourceRoundTrip(const PrefetcherParams &pf, MakeSource make,
+                      const std::string &what)
+{
+    SimConfig cfg;
+    std::string blob;
+    SimResults uninterrupted;
+    {
+        Simulator sim(cfg, pf);
+        auto owner = make();
+        TraceSource &src = *owner;
+        ASSERT_TRUE(sim.runWarm(src, kWarm).ok());
+        StatusOr<std::string> b = sim.serializeCheckpoint(src);
+        ASSERT_TRUE(b.ok()) << b.status().toString();
+        blob = b.take();
+        StatusOr<SimResults> r = sim.runMeasure(src, kMeasure);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        uninterrupted = r.take();
+    }
+    Simulator sim(cfg, pf);
+    auto owner = make();
+    TraceSource &src = *owner;
+    ASSERT_TRUE(sim.restoreCheckpoint(blob, src).ok());
+    StatusOr<SimResults> r = sim.runMeasure(src, kMeasure);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    expectBitIdentical(r.value(), uninterrupted, what);
+}
+
+/** The trace-fault plan of the robustness tests. */
+FaultPlan
+traceFaultPlan()
+{
+    FaultPlan plan;
+    plan.traceBitflip = true;
+    plan.traceShortRead = true;
+    plan.seed = 7;
+    plan.rate = 2e-3;
+    return plan;
+}
+
+/** A synthetic source wrapped in the fault injector, owning both. */
+struct FaultySource
+{
+    std::unique_ptr<SyntheticWorkload> inner =
+        makeWorkload("database", 42);
+    FaultInjectingTraceSource faulty{*inner, traceFaultPlan()};
+
+    operator TraceSource &() { return faulty; }
+    FaultInjectingTraceSource *operator->() { return &faulty; }
+};
+
+} // namespace
+
+TEST(CkptRoundtrip, FileTraceReplayRestoresBitIdentical)
+{
+    // The warm window ends mid-chunk, so the checkpoint must carry the
+    // decoded chunk the core was lending from.
+    const std::string v2 = tempPath("ckpt_replay_v2.trc");
+    const std::string v1 = tempPath("ckpt_replay_v1.trc");
+    {
+        auto gen = makeWorkload("database");
+        auto w = TraceFileWriter::open(v2);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        ASSERT_TRUE(w.value()->capture(*gen, kWarm + kMeasure).ok());
+        ASSERT_TRUE(w.value()->close().ok());
+    }
+    {
+        // The same records as a v1 file: the v2 header's magic,
+        // version and record size, then every chunk's payload with its
+        // 8-byte chunk header dropped.
+        StatusOr<std::string> bytes = ckpt::readFile(v2);
+        ASSERT_TRUE(bytes.ok());
+        const std::string &b = bytes.value();
+        std::string out = b.substr(0, 16);
+        out[7] = '1';
+        out[8] = 1;
+        for (std::size_t at = 24; at + 8 <= b.size();) {
+            std::uint32_t count = 0;
+            std::memcpy(&count, b.data() + at, 4);
+            out += b.substr(at + 8, std::size_t{count} * 32);
+            at += 8 + std::size_t{count} * 32;
+        }
+        ASSERT_EQ(out.size(), 16 + (kWarm + kMeasure) * 32);
+        ASSERT_TRUE(ckpt::atomicWriteFile(v1, out).ok());
+    }
+
+    PrefetcherParams pf;
+    pf.name = "ebcp";
+    for (const std::string &path : {v2, v1}) {
+        SCOPED_TRACE(path);
+        unsigned version = 0;
+        expectSourceRoundTrip(
+            pf,
+            [&path, &version] {
+                auto src = FileTraceSource::open(path, false);
+                EXPECT_TRUE(src.ok()) << src.status().toString();
+                version = src.value()->formatVersion();
+                return src.take();
+            },
+            path);
+        EXPECT_EQ(version, path == v2 ? 2u : 1u);
+    }
+    std::remove(v2.c_str());
+    std::remove(v1.c_str());
+}
+
+TEST(CkptRoundtrip, FaultInjectedRunRestoresBitIdentical)
+{
+    PrefetcherParams pf;
+    pf.name = "ebcp";
+    expectSourceRoundTrip(
+        pf, [] { return std::make_unique<FaultySource>(); },
+        "fault-injected database");
+}
+
+TEST(CkptRoundtrip, FaultCursorKeepsUnconsumedRecords)
+{
+    // Faulted records lent but not yet consumed are part of the
+    // cursor: a restored injector hands out exactly those records
+    // next, then continues the fault sequence where it left off.
+    FaultySource a;
+    TraceRecord rec;
+    for (int i = 0; i < 5'000; ++i)
+        ASSERT_TRUE(a->next(rec));
+    const TraceRecord *span = nullptr;
+    ASSERT_EQ(a->peekSpan(&span, 500), 500u);
+    a->consumeSpan(100);
+
+    std::string bytes;
+    {
+        ckpt::Archiver ar = ckpt::Archiver::saver(bytes);
+        a->ckpt(ar);
+        ASSERT_TRUE(ar.ok()) << ar.status().toString();
+    }
+    FaultySource b;
+    {
+        ckpt::Archiver ar = ckpt::Archiver::loader(bytes.data(),
+                                                   bytes.size());
+        b->ckpt(ar);
+        ASSERT_TRUE(ar.ok()) << ar.status().toString();
+        EXPECT_EQ(ar.remaining(), 0u);
+    }
+    for (int i = 0; i < 20'000; ++i) {
+        TraceRecord ra, rb;
+        ASSERT_TRUE(a->next(ra));
+        ASSERT_TRUE(b->next(rb));
+        ASSERT_EQ(ra.pc, rb.pc) << i;
+        ASSERT_EQ(ra.addr, rb.addr) << i;
+        ASSERT_EQ(ra.target, rb.target) << i;
+        ASSERT_EQ(static_cast<int>(ra.op), static_cast<int>(rb.op)) << i;
+        ASSERT_EQ(ra.dstReg, rb.dstReg) << i;
+        ASSERT_EQ(ra.srcReg0, rb.srcReg0) << i;
+        ASSERT_EQ(ra.srcReg1, rb.srcReg1) << i;
+    }
+    EXPECT_EQ(a->bitflipsInjected(), b->bitflipsInjected());
+    EXPECT_EQ(a->recordsDropped(), b->recordsDropped());
+    EXPECT_GT(a->bitflipsInjected(), 0u);
 }
 
 // ---------------------------------------------------------------------

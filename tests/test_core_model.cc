@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <sstream>
 #include <string>
@@ -263,20 +264,35 @@ TEST(CoreModel, RunConsumesFromSource)
     StubMem mem;
     CoreModel core({}, mem);
 
+    /** An endless run of one ALU record, lent 64 at a time. */
     class CountingSource : public TraceSource
     {
       public:
         int produced = 0;
-        bool
-        next(TraceRecord &rec) override
+
+        CountingSource()
         {
-            rec = TraceRecord{};
-            rec.op = OpClass::IntAlu;
-            rec.pc = 0x1000;
-            ++produced;
-            return true;
+            for (TraceRecord &rec : recs_) {
+                rec.op = OpClass::IntAlu;
+                rec.pc = 0x1000;
+            }
+        }
+
+        std::size_t
+        peekSpan(const TraceRecord **out, std::size_t max) override
+        {
+            *out = recs_.data();
+            return std::min(max, recs_.size());
+        }
+        void
+        consumeSpan(std::size_t n) override
+        {
+            produced += static_cast<int>(n);
         }
         void reset() override { produced = 0; }
+
+      private:
+        std::array<TraceRecord, 64> recs_{};
     } src;
 
     core.run(src, 321);
@@ -402,41 +418,47 @@ mixedStream(std::size_t n)
     return out;
 }
 
-/** Replays a record vector; spans are capped so a run crosses many
- * span boundaries. Answers false from spanSource() on request, which
- * routes the core through decode-ahead's chunk copies instead. */
+/** Replays a record vector in spans of at most @p lend records, so a
+ * run crosses many span boundaries; counts what the core asks for and
+ * what it consumes. */
 class VectorSource : public TraceSource
 {
   public:
-    VectorSource(const std::vector<TraceRecord> &recs, bool span)
-        : recs_(recs), span_(span)
+    explicit VectorSource(const std::vector<TraceRecord> &recs,
+                          std::size_t lend = 1000)
+        : recs_(recs), lend_(lend)
     {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (pos_ == recs_.size())
-            return false;
-        rec = recs_[pos_++];
-        return true;
-    }
-
-    bool spanSource() const override { return span_; }
 
     std::size_t
     peekSpan(const TraceRecord **out, std::size_t max) override
     {
+        ++peeks;
+        maxAsked = std::max(maxAsked, max);
         *out = recs_.data() + pos_;
-        return std::min({max, recs_.size() - pos_, std::size_t{1000}});
+        lent_ = std::min({max, recs_.size() - pos_, lend_});
+        return lent_;
     }
 
-    void consumeSpan(std::size_t n) override { pos_ += n; }
+    void
+    consumeSpan(std::size_t n) override
+    {
+        EXPECT_LE(n, lent_) << "consumed past the lent span";
+        pos_ += n;
+        lent_ = 0;
+    }
+
     void reset() override { pos_ = 0; }
+
+    std::size_t consumed() const { return pos_; }
+
+    std::uint64_t peeks = 0;
+    std::size_t maxAsked = 0; //!< largest max passed to peekSpan()
 
   private:
     const std::vector<TraceRecord> &recs_;
-    bool span_;
+    std::size_t lend_;
     std::size_t pos_ = 0;
+    std::size_t lent_ = 0;
 };
 
 std::string
@@ -462,7 +484,7 @@ statsDump(CoreModel &core)
  * @p audited attaches a retire-cadence auditor to the run core, so
  * run() takes its audited loop, which must also audit clean. */
 void
-expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
+expectRunMatchesProcess(const std::vector<TraceRecord> &recs,
                         Addr huge_line, Tick watchdog, bool audited)
 {
     LoggingMem mem_run;
@@ -482,7 +504,7 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
     // Split at a point that is not a span or chunk boundary, with a
     // measurement mark in between, as warm-up + measure does.
     const std::uint64_t warm = 12'345;
-    VectorSource src(recs, span);
+    VectorSource src(recs);
     run_core.run(src, warm);
     run_core.beginMeasurement();
     if (!run_core.watchdogTripped())
@@ -518,12 +540,9 @@ expectRunMatchesProcess(const std::vector<TraceRecord> &recs, bool span,
 TEST(CoreModelRunLoop, RunMatchesProcessOneRecordAtATime)
 {
     const std::vector<TraceRecord> recs = mixedStream(60'000);
-    for (const bool span : {true, false}) {
-        for (const bool audited : {false, true}) {
-            SCOPED_TRACE(testing::Message()
-                         << "span=" << span << " audited=" << audited);
-            expectRunMatchesProcess(recs, span, InvalidAddr, 0, audited);
-        }
+    for (const bool audited : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "audited=" << audited);
+        expectRunMatchesProcess(recs, InvalidAddr, 0, audited);
     }
 }
 
@@ -538,14 +557,50 @@ TEST(CoreModelRunLoop, WatchdogTripInsideASpanMatchesProcess)
     stall.op = OpClass::Load;
     stall.addr = 0x7770000;
     stall.dstReg = 7;
-    for (const bool span : {true, false}) {
-        for (const bool audited : {false, true}) {
-            SCOPED_TRACE(testing::Message()
-                         << "span=" << span << " audited=" << audited);
-            expectRunMatchesProcess(recs, span, 0x7770000, 1'000'000,
-                                    audited);
-        }
+    for (const bool audited : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "audited=" << audited);
+        expectRunMatchesProcess(recs, 0x7770000, 1'000'000, audited);
     }
+}
+
+TEST(CoreModelRunLoop, OneRecordSpansRunExactlyCount)
+{
+    // A source that lends one record per span: run() must pull span
+    // after span and stop at exactly the requested count.
+    const std::vector<TraceRecord> recs = mixedStream(5'000);
+    LoggingMem mem;
+    CoreModel core({}, mem);
+    VectorSource src(recs, 1);
+    core.run(src, 1'234);
+    EXPECT_EQ(src.consumed(), 1'234u);
+    EXPECT_EQ(src.peeks, 1'234u);
+    core.run(src, 2'000);
+    EXPECT_EQ(src.consumed(), 3'234u);
+    EXPECT_EQ(core.instCount(), 3'234u);
+}
+
+TEST(CoreModelRunLoop, SpansLongerThanTheBudgetRunExactlyCount)
+{
+    // A source holding far more records than the budget: every span
+    // must be asked for at most the remaining count, so the source is
+    // consumed by exactly that many records.
+    const std::vector<TraceRecord> recs = mixedStream(50'000);
+    LoggingMem mem;
+    CoreModel core({}, mem);
+    VectorSource src(recs, recs.size());
+    core.run(src, 777);
+    EXPECT_EQ(src.consumed(), 777u);
+    EXPECT_EQ(src.maxAsked, 777u);
+    EXPECT_EQ(src.peeks, 1u);
+    core.run(src, 12'345);
+    EXPECT_EQ(src.consumed(), 13'122u);
+    EXPECT_EQ(src.maxAsked, 12'345u);
+    EXPECT_EQ(core.instCount(), 13'122u);
+
+    // At exhaustion run() stops early instead of spinning.
+    core.run(src, 1'000'000);
+    EXPECT_EQ(src.consumed(), recs.size());
+    EXPECT_EQ(core.instCount(), recs.size());
 }
 
 TEST(CoreModel, FpOpsUseFpPipelines)

@@ -2,10 +2,10 @@
  * @file
  * Tests for the hot-path containers introduced by the throughput
  * overhaul: the open-addressed FlatMap (randomized differential
- * testing against std::unordered_map), the growable RecordRing, the
- * FreeListPool/PoolLease pair, and CircularBuffer's in-place
- * pushSlot(). The pool and ring tests deliberately churn recycled
- * objects so -DEBCP_SANITIZE=address runs exercise the reuse paths.
+ * testing against std::unordered_map), the growable RecordRing and
+ * CircularBuffer's in-place pushSlot(). The ring tests deliberately
+ * churn recycled slots so -DEBCP_SANITIZE=address runs exercise the
+ * reuse paths.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "trace/record_ring.hh"
 #include "util/circular_buffer.hh"
 #include "util/flat_map.hh"
-#include "util/object_pool.hh"
 #include "util/random.hh"
 
 using namespace ebcp;
@@ -311,15 +310,15 @@ TEST(RecordRing, FifoOrderAcrossGrowth)
     // Offset the head so growth has to re-linearize a wrapped ring.
     for (int i = 0; i < 10; ++i) {
         ring.pushSlot() = i;
-        ring.popFront();
+        ring.popN(1);
     }
     for (int i = 0; i < 100; ++i)
         ring.pushSlot() = i;
     EXPECT_GT(ring.stats().grows, 0u);
     EXPECT_EQ(ring.size(), 100u);
     for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(ring.front(), i);
-        ring.popFront();
+        EXPECT_EQ(ring.at(0), i);
+        ring.popN(1);
     }
     EXPECT_TRUE(ring.empty());
 }
@@ -333,8 +332,7 @@ TEST(RecordRing, SteadyStateNeverGrows)
         slot.clear();
         slot.resize(32, i);
     }
-    while (!ring.empty())
-        ring.popFront();
+    ring.popN(ring.size());
     const std::uint64_t grows = ring.stats().grows;
 
     // ...then steady-state traffic below that mark recycles slots
@@ -346,8 +344,8 @@ TEST(RecordRing, SteadyStateNeverGrows)
             slot.resize(32, round + i);
         }
         for (int i = 0; i < 8; ++i) {
-            EXPECT_EQ(ring.front()[0], round + i);
-            ring.popFront();
+            EXPECT_EQ(ring.at(0)[0], round + i);
+            ring.popN(1);
         }
     }
     EXPECT_EQ(ring.stats().grows, grows);
@@ -362,72 +360,6 @@ TEST(RecordRing, ClearKeepsStorage)
     ring.clear();
     EXPECT_TRUE(ring.empty());
     EXPECT_EQ(ring.capacity(), cap);
-}
-
-// --- FreeListPool / PoolLease --------------------------------------
-
-TEST(FreeListPool, AcquireReleaseReuses)
-{
-    FreeListPool<std::vector<int>> pool;
-    auto a = pool.acquire();
-    a->resize(1000);
-    int *data = a->data();
-    pool.release(std::move(a));
-
-    // The recycled object keeps its buffer: same vector comes back.
-    auto b = pool.acquire();
-    EXPECT_EQ(b->data(), data);
-    EXPECT_EQ(pool.stats().freshAllocs, 1u);
-    EXPECT_EQ(pool.stats().reuses, 1u);
-    pool.release(std::move(b));
-    EXPECT_EQ(pool.stats().outstanding, 0u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-}
-
-TEST(FreeListPool, PrimeServesWithoutFreshAllocs)
-{
-    FreeListPool<std::string> pool;
-    pool.prime(4);
-    EXPECT_EQ(pool.freeCount(), 4u);
-    const std::uint64_t primed = pool.stats().freshAllocs;
-
-    std::vector<std::unique_ptr<std::string>> held;
-    for (int i = 0; i < 4; ++i)
-        held.push_back(pool.acquire());
-    EXPECT_EQ(pool.stats().freshAllocs, primed);
-    EXPECT_EQ(pool.stats().peakOutstanding, 4u);
-    for (auto &h : held)
-        pool.release(std::move(h));
-}
-
-TEST(FreeListPool, SteadyStateIsAllocationFree)
-{
-    FreeListPool<std::vector<unsigned char>> pool;
-    // After the first acquire/release cycle, every subsequent cycle
-    // must be served from the free list.
-    { PoolLease<std::vector<unsigned char>> warm(pool); warm->resize(64); }
-    const std::uint64_t fresh = pool.stats().freshAllocs;
-    for (int i = 0; i < 10000; ++i) {
-        PoolLease<std::vector<unsigned char>> lease(pool);
-        lease->resize(64);
-        (*lease)[0] = static_cast<unsigned char>(i);
-    }
-    EXPECT_EQ(pool.stats().freshAllocs, fresh);
-    EXPECT_EQ(pool.stats().acquires, 10001u);
-    EXPECT_DOUBLE_EQ(pool.stats().reuseRate(), 10000.0 / 10001.0);
-    EXPECT_EQ(pool.stats().outstanding, 0u);
-}
-
-TEST(PoolLease, ReleasesOnEveryExitPath)
-{
-    FreeListPool<int> pool;
-    {
-        PoolLease<int> lease(pool);
-        *lease = 5;
-        EXPECT_EQ(pool.stats().outstanding, 1u);
-    }
-    EXPECT_EQ(pool.stats().outstanding, 0u);
-    EXPECT_EQ(pool.stats().releases, 1u);
 }
 
 // --- CircularBuffer::pushSlot --------------------------------------

@@ -120,3 +120,16 @@ TEST(Factory, EveryListedSchemeConstructs)
         EXPECT_TRUE(pf.ok()) << n << ": " << pf.status().toString();
     }
 }
+
+TEST(Factory, AcceptsOnlyListedSchemes)
+{
+    // ...and it is the whole vocabulary: the bare family names of the
+    // fixed GHB and TCP presets are not schemes of their own.
+    for (const char *n : {"ghb", "tcp"}) {
+        PrefetcherParams p;
+        p.name = n;
+        EXPECT_EQ(tryCreatePrefetcher(p).status().code(),
+                  StatusCode::NotFound)
+            << n;
+    }
+}

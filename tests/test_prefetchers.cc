@@ -656,17 +656,22 @@ factoryStatus(const PrefetcherParams &p)
 
 TEST(FactoryValidation, RejectsZeroDegreeEverywhere)
 {
-    for (const char *name : {"ebcp", "tcp", "dcpt", "amc"}) {
+    for (const char *name : {"ebcp", "dcpt", "amc"}) {
         SCOPED_TRACE(name);
         PrefetcherParams p;
         p.name = name;
         p.ebcp.prefetchDegree = 0;
-        p.tcp.degree = 0;
         p.dcpt.degree = 0;
         p.amc.degree = 0;
         Status s = factoryStatus(p);
         EXPECT_EQ(s.code(), StatusCode::InvalidArgument) << s.toString();
     }
+
+    // The TCP presets are fixed configurations; their gate is checked
+    // directly.
+    TcpConfig tcp = TcpConfig::small();
+    tcp.degree = 0;
+    EXPECT_EQ(tcp.validate().code(), StatusCode::InvalidArgument);
 }
 
 TEST(FactoryValidation, RejectsGarbageTableSizes)
@@ -695,10 +700,9 @@ TEST(FactoryValidation, RejectsGarbageTableSizes)
     p.dcpt.tableEntries = 0;
     EXPECT_EQ(factoryStatus(p).code(), StatusCode::InvalidArgument);
 
-    p = {};
-    p.name = "ghb";
-    p.ghb.indexEntries = 100; // not a power of two
-    EXPECT_EQ(factoryStatus(p).code(), StatusCode::InvalidArgument);
+    GhbConfig ghb = GhbConfig::small();
+    ghb.indexEntries = 100; // not a power of two
+    EXPECT_EQ(ghb.validate().code(), StatusCode::InvalidArgument);
 
     p = {};
     p.name = "sms";

@@ -101,6 +101,33 @@ TEST(FaultInjection, SameSeedIsBitIdentical)
     EXPECT_GT(a.shortReads, 0u);
 }
 
+TEST(FaultInjection, SequenceIsPinned)
+{
+    // SameSeedIsBitIdentical compares two runs of one build, so it
+    // cannot see the fault sequence itself move. These values were
+    // captured (printed with %a) from the record-at-a-time injector
+    // that the span-lending one replaced: the same draws in the same
+    // order must give the same faults and the same timing.
+    const FaultRun r = runWithTraceFaults(7);
+    EXPECT_EQ(r.bitflips, 166u);
+    EXPECT_EQ(r.shortReads, 136u);
+    EXPECT_EQ(r.dropped, 1133u);
+
+    const SimResults &s = r.results;
+    EXPECT_EQ(s.insts, 60000u);
+    EXPECT_EQ(s.cycles, 631778u);
+    EXPECT_EQ(s.epochs, 1066u);
+    EXPECT_EQ(s.cpi, 0x1.50f2c19ab1386p+3);
+    EXPECT_EQ(s.epochsPer1k, 0x1.1c44444444444p+4);
+    EXPECT_EQ(s.l2InstMissPer1k, 0x1.3p+3);
+    EXPECT_EQ(s.l2LoadMissPer1k, 0x1.c444444444444p+3);
+    EXPECT_EQ(s.usefulPrefetches, 0u);
+    EXPECT_EQ(s.issuedPrefetches, 0u);
+    EXPECT_EQ(s.droppedPrefetches, 0u);
+    EXPECT_EQ(s.readBusUtil, 0x1.cc504782bc81bp-4);
+    EXPECT_EQ(s.writeBusUtil, 0x1.14f75592e1a14p-4);
+}
+
 TEST(FaultInjection, RunCompletesDespiteFaults)
 {
     FaultRun a = runWithTraceFaults(3);

@@ -11,7 +11,7 @@
 
 #include "cache/cache.hh"
 #include "cache/tag_array.hh"
-#include "core/correlation_table.hh"
+#include "prefetch/correlation_table.hh"
 #include "cpu/core_model.hh"
 #include "prefetch/ghb.hh"
 #include "sim/api.hh"

@@ -1,8 +1,7 @@
 /**
  * @file
- * The perf-smoke gate driver, which is also the opt-in PGO training
- * run. Host cost itself is measured by bench/perfbench; this binary
- * only holds two tier-1 host-cost gates.
+ * The perf-smoke gate driver. Host cost itself is measured by
+ * bench/perfbench; this binary only holds two tier-1 host-cost gates.
  *
  * For each Table 1 workload under the null and ebcp prefetchers it
  * runs `reps` rounds of up to two back-to-back runs -- profiler off
@@ -24,8 +23,7 @@
  *                          i.e. the always-on self-profiler's cost,
  *                          exceeds 1 + F; 0 disables).
  *
- * The profiler-off leg runs only when its gate is set, so a training
- * run (reps=1, no gates) is one base run per configuration.
+ * The profiler-off leg runs only when its gate is set.
  */
 
 #include <algorithm>

@@ -329,7 +329,6 @@ main(int argc, char **argv)
     pf.solihin.tableEntries = pf.ebcp.tableEntries;
     pf.ebcp.trainAllOldestMisses = cs.getBool("train_all", false);
     pf.ebcp.onChipTable = cs.getBool("on_chip_table", false);
-    pf.ebcp.faults = cfg.faults;
     if (cs.getBool("per_core", true))
         pf.ebcp.numCoreStates = cores;
     if (cs.has("degree")) {
@@ -365,6 +364,16 @@ main(int argc, char **argv)
 
     const std::uint64_t warm = cs.getU64("warm", 2'000'000);
     const std::uint64_t measure = cs.getU64("measure", 4'000'000);
+    // The truncation point is fixed, so a window it misses would run
+    // unfaulted, and one it precedes would measure an empty trace.
+    if (const std::uint64_t point = cfg.faults.truncateAfter;
+        cfg.faults.traceTruncate &&
+        !(warm < point && point < warm + measure))
+        return fail(invalidArgError(
+            "faults=trace-truncate cuts each trace after ", point,
+            " records, outside the measured window (", warm, ", ",
+            warm + measure, "); choose warm < ", point,
+            " < warm + measure"));
 
     // Build each core's trace source chain: a file (single-core only)
     // or a workload instance, optionally wrapped in the fault injector.
@@ -395,18 +404,11 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
     std::vector<TraceSource *> sources;
-    for (const auto &o : owned) {
+    for (const auto &o : owned)
         sources.push_back(o.get());
-        if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
-            cfg.faults.traceShortRead) {
-            injectors.push_back(
-                std::make_unique<FaultInjectingTraceSource>(*o,
-                                                            cfg.faults));
-            sources.back() = injectors.back().get();
-        }
-    }
+    const std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors =
+        wrapTraceFaults(sources, cfg.faults);
     const std::string label =
         source_name + "/" + pf.name +
         (cores > 1 ? "/cmp" + std::to_string(cores) : "");

@@ -33,18 +33,13 @@
 #               format-version guard;
 #   nosimd      -DEBCP_NO_SIMD=ON build (the portable scalar-bitmask
 #               probe fallback of the group-probed hash core) re-running
-#               the single-core and CMP golden SimResults and the
-#               FlatMap suites, so both probe paths stay bit-exact and
-#               green.
+#               the single-core golden SimResults (the paper_sweep
+#               engine pins included), the CMP goldens and the FlatMap
+#               suites, so both probe paths stay bit-exact and green.
 #
-# Set EBCP_CHECK_PGO=1 for an extra opt-in stage: a
-# -fprofile-generate build trained on bench/throughput_bench, then a
-# -fprofile-use rebuild re-running the golden + perf-smoke gates.
-# PGO is a build-machine-local artifact (profiles depend on compiler
-# version and workload), which is why the stage is opt-in rather than
-# part of the default matrix. scripts/coverage.sh (the parser-TU
-# line-coverage floor) is likewise separate: it needs its own
-# --coverage build and a few minutes of mutation smoke.
+# scripts/coverage.sh (the parser-TU line-coverage floor) is not a
+# stage: it needs its own --coverage build and a few minutes of
+# mutation smoke.
 #
 # Every stage exports compile_commands.json. Roughly 10-15 minutes on
 # a laptop; set EBCP_CHECK_JOBS to bound parallelism.
@@ -121,23 +116,11 @@ stage "ckpt: checkpoint gates (ASan/UBSan) + format-version lint"
 run_ctest build-check-asan -R '^ckpt_roundtrip$|^ckpt_corruption_corpus$'
 scripts/ckpt_lint.sh
 
-stage "nosimd: scalar probe fallback (-DEBCP_NO_SIMD=ON): goldens + CmpGoldens + FlatMap"
+stage "nosimd: scalar probe fallback (-DEBCP_NO_SIMD=ON): goldens + EngineGoldens + CmpGoldens + FlatMap"
 cmake -B build-check-nosimd -DEBCP_NO_SIMD=ON >/dev/null
 cmake --build build-check-nosimd --target test_golden_results \
       test_cmp test_flat_map -j "${JOBS}"
-run_ctest build-check-nosimd -R 'GoldenResults|CmpGoldens|FlatMap'
-
-if [[ "${EBCP_CHECK_PGO:-0}" == "1" ]]; then
-    stage "opt-in PGO: instrument, train on throughput_bench, rebuild"
-    cmake -B build-check-pgo -DEBCP_PGO=generate >/dev/null
-    cmake --build build-check-pgo --target throughput_bench -j "${JOBS}"
-    (cd build-check-pgo &&
-     ./bench/throughput_bench warm=500000 measure=1000000 reps=1 \
-         >/dev/null)
-    cmake -B build-check-pgo -DEBCP_PGO=use >/dev/null
-    cmake --build build-check-pgo -j "${JOBS}"
-    run_ctest build-check-pgo -R 'GoldenResults|perf-smoke'
-fi
+run_ctest build-check-nosimd -R 'GoldenResults|EngineGoldens|CmpGoldens|FlatMap'
 
 echo
 echo "check: all stages passed"

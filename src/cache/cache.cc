@@ -6,7 +6,7 @@ namespace ebcp
 {
 
 Cache::Cache(const CacheConfig &cfg)
-    : cfg_(cfg), tags_(cfg.sets(), cfg.ways, cfg.lineBytes, cfg.repl),
+    : cfg_(cfg), tags_(cfg.sets(), cfg.ways, cfg.lineBytes),
       stats_(cfg.name)
 {
     cfg_.check();

@@ -4,7 +4,7 @@
  *
  * Timing (hit latency, miss handling) lives in the core timing model
  * and the hierarchy; this class answers "hit or miss" and maintains
- * content under the configured replacement policy.
+ * content under LRU replacement.
  */
 
 #ifndef EBCP_CACHE_CACHE_HH

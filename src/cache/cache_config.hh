@@ -16,14 +16,7 @@
 namespace ebcp
 {
 
-/** Replacement policy selector. */
-enum class ReplPolicy
-{
-    Lru,
-    Random,
-};
-
-/** Geometry/latency of one cache level. */
+/** Geometry/latency of one cache level (LRU replacement). */
 struct CacheConfig
 {
     std::string name = "cache";
@@ -31,7 +24,6 @@ struct CacheConfig
     unsigned ways = 4;
     unsigned lineBytes = 64;
     Tick hitLatency = 3;
-    ReplPolicy repl = ReplPolicy::Lru;
 
     unsigned
     sets() const

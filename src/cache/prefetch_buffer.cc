@@ -1,5 +1,7 @@
 #include "cache/prefetch_buffer.hh"
 
+#include <algorithm>
+
 #include "ckpt/archiver.hh"
 #include "util/logging.hh"
 #include "verify/audit.hh"
@@ -10,17 +12,13 @@ namespace ebcp
 PrefetchBuffer::PrefetchBuffer(unsigned entries, unsigned ways,
                                unsigned line_bytes)
     : sets_(entries / ways), ways_(ways), lineShift_(floorLog2(line_bytes)),
-      entries_(entries), stats_("prefetch_buffer")
+      entries_(entries)
 {
     fatal_if(entries == 0 || ways == 0, "prefetch buffer with no entries");
     fatal_if(entries % ways != 0,
              "prefetch buffer entries must be a multiple of ways");
     fatal_if(!isPowerOf2(sets_),
              "prefetch buffer set count must be a power of two");
-    stats_.add(hits_);
-    stats_.add(lateHits_);
-    stats_.add(inserts_);
-    stats_.add(replacedUnused_);
 }
 
 PrefetchBuffer::Entry *
@@ -48,7 +46,7 @@ PrefetchBuffer::contains(Addr addr) const
 }
 
 PrefBufHit
-PrefetchBuffer::lookup(Addr addr, Tick now)
+PrefetchBuffer::lookup(Addr addr)
 {
     const Addr line = alignDown(addr, 1ULL << lineShift_);
     Entry *e = find(line);
@@ -61,9 +59,6 @@ PrefetchBuffer::lookup(Addr addr, Tick now)
     res.corrIndex = e->corrIndex;
     res.hasCorrIndex = e->hasCorrIndex;
     res.source = e->source;
-    ++hits_;
-    if (e->readyTime > now)
-        ++lateHits_;
     // Consumed: the line moves to the regular cache hierarchy.
     e->valid = false;
     return res;
@@ -74,7 +69,6 @@ PrefetchBuffer::insert(Addr addr, Tick ready_time, std::uint64_t corr_index,
                        bool has_corr_index, std::uint8_t source)
 {
     const Addr line = alignDown(addr, 1ULL << lineShift_);
-    ++inserts_;
 
     if (Entry *e = find(line)) {
         // Refresh an existing entry (keep the earlier ready time: the
@@ -101,7 +95,6 @@ PrefetchBuffer::insert(Addr addr, Tick ready_time, std::uint64_t corr_index,
     }
     PrefBufEvict evicted;
     if (victim->valid) {
-        ++replacedUnused_;
         evicted.line = victim->lineAddr;
         evicted.source = victim->source;
     }
@@ -197,7 +190,6 @@ PrefetchBuffer::ckpt(ckpt::Archiver &ar)
         a.u8(e.source);
     }, "prefetch buffer entries");
     ar.u64(stampCounter_);
-    stats_.ckpt(ar);
 }
 
 } // namespace ebcp

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/group.hh"
 #include "util/bitfield.hh"
 #include "util/types.hh"
 
@@ -59,13 +58,13 @@ class PrefetchBuffer
     PrefetchBuffer(unsigned entries, unsigned ways, unsigned line_bytes);
 
     /**
-     * Probe for the line containing @p addr at time @p now; on a hit
-     * the entry is consumed (the line is promoted to the regular
-     * cache by the caller).
+     * Probe for the line containing @p addr; on a hit the entry is
+     * consumed (the line is promoted to the regular cache by the
+     * caller, which records the outcome in its PrefetchLedger).
      */
-    PrefBufHit lookup(Addr addr, Tick now);
+    PrefBufHit lookup(Addr addr);
 
-    /** Probe without consuming or counting (used for filtering). */
+    /** Probe without consuming (used for filtering). */
     bool contains(Addr addr) const;
 
     /**
@@ -89,10 +88,6 @@ class PrefetchBuffer
     unsigned validCount() const;
 
     unsigned entries() const { return sets_ * ways_; }
-    std::uint64_t hitsTotal() const { return hits_.value(); }
-    std::uint64_t insertsTotal() const { return inserts_.value(); }
-
-    StatGroup &stats() { return stats_; }
 
     /** Visit every valid entry's (line address, ready time). */
     template <typename Fn>
@@ -142,13 +137,6 @@ class PrefetchBuffer
     unsigned lineShift_;
     std::vector<Entry> entries_;
     std::uint64_t stampCounter_ = 0;
-
-    StatGroup stats_;
-    Scalar hits_{"hits", "demand accesses satisfied from the buffer"};
-    Scalar lateHits_{"late_hits", "hits on still-in-flight prefetches"};
-    Scalar inserts_{"inserts", "prefetched lines installed"};
-    Scalar replacedUnused_{"replaced_unused",
-                           "valid entries evicted before any use"};
 };
 
 } // namespace ebcp

@@ -8,10 +8,9 @@
 namespace ebcp
 {
 
-TagArray::TagArray(unsigned sets, unsigned ways, unsigned line_bytes,
-                   ReplPolicy repl)
+TagArray::TagArray(unsigned sets, unsigned ways, unsigned line_bytes)
     : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-      lineShift_(floorLog2(line_bytes)), repl_(repl),
+      lineShift_(floorLog2(line_bytes)),
       slots_(static_cast<std::size_t>(sets) * ways),
       words_(3 * slots_, 0)
 {
@@ -45,14 +44,11 @@ TagArray::access(Addr addr, bool write)
 unsigned
 TagArray::victimWay(unsigned set)
 {
-    // Invalid ways first, regardless of policy.
+    // Invalid ways first.
     const std::size_t base = slot(set, 0);
     for (unsigned w = 0; w < ways_; ++w)
         if (tags()[base + w] == kInvalidTag)
             return w;
-
-    if (repl_ == ReplPolicy::Random)
-        return rng_.below(ways_);
 
     // The lowest-indexed way holding the oldest stamp.
     const std::uint64_t *st = stamps() + base;
@@ -191,7 +187,6 @@ TagArray::ckpt(ckpt::Archiver &ar)
         dirtyFlags()[i] = dirty;
     }
     ar.u64(stampCounter_);
-    ckpt::ckptPcg32(ar, rng_);
 }
 
 } // namespace ebcp

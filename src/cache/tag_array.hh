@@ -1,6 +1,6 @@
 /**
  * @file
- * Generic set-associative tag array with pluggable replacement.
+ * Generic set-associative tag array with LRU replacement.
  *
  * The tag array is purely functional (no timing); it is the shared
  * substrate for the instruction/data/L2 caches and for table-like
@@ -16,7 +16,6 @@
 
 #include "cache/cache_config.hh"
 #include "util/bitfield.hh"
-#include "util/random.hh"
 #include "util/types.hh"
 
 namespace ebcp
@@ -46,8 +45,7 @@ struct Eviction
 class TagArray
 {
   public:
-    TagArray(unsigned sets, unsigned ways, unsigned line_bytes,
-             ReplPolicy repl = ReplPolicy::Lru);
+    TagArray(unsigned sets, unsigned ways, unsigned line_bytes);
 
     /** @return true if the line containing @p addr is present. */
     bool contains(Addr addr) const;
@@ -128,7 +126,7 @@ class TagArray
         return -1;
     }
 
-    /** Choose the victim way in @p set per the replacement policy. */
+    /** Choose the victim way in @p set: an empty way, else LRU. */
     unsigned victimWay(unsigned set);
 
     Addr tagOf(Addr addr) const { return addr >> lineShift_; }
@@ -156,7 +154,6 @@ class TagArray
     unsigned ways_;
     unsigned lineBytes_;
     unsigned lineShift_;
-    ReplPolicy repl_;
     std::size_t slots_; //!< sets * ways
     // The three arrays share one allocation, and a flag takes a whole
     // word, so a 2 MiB L2 keeps a single 768 KiB block. glibc derives
@@ -166,7 +163,6 @@ class TagArray
     // set-up faults them in again (about 230 faults per set-up).
     std::vector<std::uint64_t> words_;
     std::uint64_t stampCounter_ = 0;
-    Pcg32 rng_{12345};
 };
 
 } // namespace ebcp

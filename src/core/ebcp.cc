@@ -31,12 +31,14 @@ EbcpConfig::validate() const
     return Status();
 }
 
-EpochBasedPrefetcher::EpochBasedPrefetcher(const EbcpConfig &cfg)
+EpochBasedPrefetcher::EpochBasedPrefetcher(const EbcpConfig &cfg,
+                                           const FaultPlan &faults)
     : Prefetcher("ebcp"),
       cfg_(cfg),
+      faults_(faults),
       table_({cfg.tableEntries, cfg.prefetchDegree, 64}),
       alloc_(table_.config().footprintBytes(), cfg.reallocRetryInterval),
-      faultRng_(cfg.faults.seed,
+      faultRng_(faults.seed,
                 static_cast<std::uint64_t>(FaultStream::Table))
 {
     fatal_if(cfg.numCoreStates == 0, "EBCP needs at least one core");
@@ -64,15 +66,15 @@ EpochBasedPrefetcher::faultyTableRead(Tick when, Addr key)
     // best-effort memory-resident table -- a read lost to saturation
     // or arriving too late -- and must degrade coverage only.
     ++tableReadAttempts_;
-    if (cfg_.faults.tableDrop && faultRng_.chance(cfg_.faults.rate)) {
+    if (faults_.tableDrop && faultRng_.chance(faults_.rate)) {
         ++injectedReadDrops_;
         return MemAccessResult{when, when, true};
     }
     MemAccessResult rd = engine_->tableRead(when);
-    if (!rd.dropped && cfg_.faults.tableDelay &&
-        faultRng_.chance(cfg_.faults.rate)) {
+    if (!rd.dropped && faults_.tableDelay &&
+        faultRng_.chance(faults_.rate)) {
         ++injectedReadDelays_;
-        rd.complete += cfg_.faults.tableDelayTicks;
+        rd.complete += faults_.tableDelayTicks;
     }
     if (!rd.dropped) {
         maxTableReadTicks_ = std::max(maxTableReadTicks_,

@@ -31,10 +31,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/correlation_table.hh"
 #include "core/emab.hh"
 #include "core/table_allocation.hh"
 #include "epoch/epoch_tracker.hh"
+#include "prefetch/correlation_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "util/status.hh"
 #include "util/fault.hh"
@@ -89,13 +89,6 @@ struct EbcpConfig
      */
     bool onChipTable = false;
 
-    /**
-     * Fault-injection plan for the table read path (table-drop /
-     * table-delay kinds): demonstrates that a lost or late
-     * correlation-table read costs coverage, never correctness.
-     */
-    FaultPlan faults;
-
     /** Coded rejection of nonsense values (factory gate). */
     Status validate() const;
 };
@@ -104,7 +97,14 @@ struct EbcpConfig
 class EpochBasedPrefetcher : public Prefetcher
 {
   public:
-    explicit EpochBasedPrefetcher(const EbcpConfig &cfg);
+    /**
+     * @param faults the run's fault plan; its table-drop and
+     *        table-delay kinds apply to correlation-table reads and
+     *        show that a lost or late read costs coverage, never
+     *        correctness
+     */
+    explicit EpochBasedPrefetcher(const EbcpConfig &cfg,
+                                  const FaultPlan &faults = {});
 
     void observeAccess(const L2AccessInfo &info) override;
     void observePrefetchHit(Addr line_addr, std::uint64_t corr_index,
@@ -184,6 +184,7 @@ class EpochBasedPrefetcher : public Prefetcher
     const std::vector<Addr> &trainingPayload(const CoreState &cs);
 
     EbcpConfig cfg_;
+    FaultPlan faults_;
     // unique_ptr storage: CoreState holds stat groups with interior
     // pointers, so the objects must never move.
     std::vector<std::unique_ptr<CoreState>> states_;

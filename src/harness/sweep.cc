@@ -123,15 +123,14 @@ struct ExecContext
     std::uint64_t corruptSeed = 1;
 };
 
-/** The per-core trace-source stacks + effective prefetcher params of
- * one run; mirrors examples/ebcp_cli's wiring, including the
- * fault-injection wrappers and the EBCP-side fault plan. */
+/** The per-core trace-source stacks of one run; mirrors
+ * examples/ebcp_cli's wiring, including the fault-injection
+ * wrappers. */
 struct RunSources
 {
     std::vector<std::unique_ptr<SyntheticWorkload>> owned;
     std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
     std::vector<TraceSource *> sources;
-    PrefetcherParams pf;
     Status status;
 };
 
@@ -143,7 +142,6 @@ buildSources(const RunDesc &d)
         out.status = invalidArgError(runLabel(d), ": zero cores");
         return out;
     }
-    const FaultPlan &faults = d.cfg.faults;
     for (unsigned i = 0; i < d.cores; ++i) {
         StatusOr<std::unique_ptr<SyntheticWorkload>> src =
             tryMakeWorkload(d.workload, coreSeed(d.seed, i, d.cores));
@@ -153,24 +151,13 @@ buildSources(const RunDesc &d)
         }
         out.owned.push_back(src.take());
         out.sources.push_back(out.owned.back().get());
-        if (faults.traceBitflip || faults.traceTruncate ||
-            faults.traceShortRead) {
-            out.injectors.push_back(
-                std::make_unique<FaultInjectingTraceSource>(
-                    *out.sources.back(), faults));
-            out.sources.back() = out.injectors.back().get();
-        }
     }
-
-    out.pf = d.pf;
-    if (faults.any())
-        out.pf.ebcp.faults = faults;
+    out.injectors = wrapTraceFaults(out.sources, d.cfg.faults);
 
     // Validate the prefetcher name up front: the Simulator
     // constructor treats an unknown name as fatal, but a sweep
     // must degrade to a per-run error instead.
-    StatusOr<std::unique_ptr<Prefetcher>> probe =
-        tryCreatePrefetcher(out.pf);
+    StatusOr<std::unique_ptr<Prefetcher>> probe = tryCreatePrefetcher(d.pf);
     if (!probe.ok())
         out.status = probe.status().withContext(runLabel(d));
     return out;
@@ -186,7 +173,7 @@ executeCold(const RunDesc &d)
         out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, rs.pf, d.cores);
+    Simulator sim(d.cfg, d.pf, d.cores);
     StatusOr<SimResults> r =
         sim.tryRun(rs.sources, d.scale.warm, d.scale.measure);
     if (!r.ok()) {
@@ -210,7 +197,7 @@ executeWarm(const RunDesc &d, std::size_t i, const ExecContext &ctx,
             entry.status = ws.status;
             return;
         }
-        Simulator wsim(d.cfg, ws.pf, d.cores);
+        Simulator wsim(d.cfg, d.pf, d.cores);
         Status s = wsim.runWarm(ws.sources, d.scale.warm);
         if (!s.ok()) {
             entry.status = std::move(s);
@@ -246,7 +233,7 @@ executeWarm(const RunDesc &d, std::size_t i, const ExecContext &ctx,
         out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, rs.pf, d.cores);
+    Simulator sim(d.cfg, d.pf, d.cores);
     Status restored = sim.restoreCheckpoint(entry.blob, rs.sources);
     if (!restored.ok()) {
         // The failed restore half-wrote the simulator and the sources;

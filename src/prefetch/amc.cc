@@ -29,18 +29,12 @@ AmcConfig::validate() const
 
 AmcPrefetcher::AmcPrefetcher(const AmcConfig &cfg, std::string name)
     : Prefetcher(std::move(name)), cfg_(cfg),
+      table_({cfg.tableEntries, cfg.width, 64}),
       recentAccesses_(cfg.window == 0 ? 1 : cfg.window)
 {
     fatal_if(!cfg.validate().ok(), cfg.validate().toString());
-    stats().add(trains_);
-    stats().add(matches_);
     stats().add(issued_);
-}
-
-std::uint64_t
-AmcPrefetcher::indexOf(Addr key) const
-{
-    return mix64(key) & (cfg_.tableEntries - 1);
+    stats().addChild(table_.stats());
 }
 
 void
@@ -48,24 +42,15 @@ AmcPrefetcher::train(Addr miss_line)
 {
     // Credit the miss to each recent access (newest first): the next
     // time any of those lines is touched -- hit or miss -- this miss
-    // is a prediction candidate.
+    // is a prediction candidate. A one-address update moves the miss
+    // to the front of the key's entry, evicting the oldest successor
+    // of a full entry.
+    miss_.assign(1, miss_line);
     for (std::size_t k = 0; k < recentAccesses_.size(); ++k) {
         const Addr key =
             recentAccesses_.at(recentAccesses_.size() - 1 - k);
-        if (key == miss_line)
-            continue;
-        Entry &e = table_[indexOf(key)];
-        if (e.tag != key) {
-            e.tag = key;
-            e.succ.clear();
-        }
-        auto it = std::find(e.succ.begin(), e.succ.end(), miss_line);
-        if (it != e.succ.end())
-            e.succ.erase(it);
-        e.succ.insert(e.succ.begin(), miss_line);
-        if (e.succ.size() > cfg_.width)
-            e.succ.pop_back();
-        ++trains_;
+        if (key != miss_line)
+            table_.update(key, miss_);
     }
 }
 
@@ -80,11 +65,9 @@ AmcPrefetcher::predict(Addr line, Tick when)
     std::vector<Addr> named;
     for (std::size_t fi = 0;
          fi < frontier.size() && named.size() < cfg_.degree; ++fi) {
-        const Entry *e = table_.find(indexOf(frontier[fi]));
-        if (!e || e->tag != frontier[fi])
+        if (!table_.lookup(frontier[fi], succ_))
             continue;
-        ++matches_;
-        for (Addr a : e->succ) {
+        for (Addr a : succ_) {
             if (named.size() >= cfg_.degree)
                 break;
             if (a == line ||
@@ -122,21 +105,7 @@ AmcPrefetcher::observeAccess(const L2AccessInfo &info)
 void
 AmcPrefetcher::audit(AuditContext &ctx) const
 {
-    ctx.check(table_.size() <= cfg_.tableEntries,
-              "table_within_capacity", table_.size(),
-              " populated slots in a ", cfg_.tableEntries,
-              "-entry table");
-    table_.forEach([&](std::uint64_t index, const Entry &e) {
-        ctx.check(index < cfg_.tableEntries, "index_in_range",
-                  "slot key ", index, " outside the ",
-                  cfg_.tableEntries, "-entry index space");
-        ctx.check(e.succ.size() <= cfg_.width, "width_bounded",
-                  "entry for line 0x", std::hex, e.tag, std::dec,
-                  " holds ", e.succ.size(), " successors of ",
-                  cfg_.width);
-        ctx.check(e.tag != InvalidAddr, "tag_valid",
-                  "populated slot ", index, " with an invalid tag");
-    });
+    table_.audit(ctx);
     ctx.check(recentAccesses_.size() <= cfg_.window,
               "window_bounded", recentAccesses_.size(),
               " recent accesses of ", cfg_.window);
@@ -146,10 +115,7 @@ void
 AmcPrefetcher::ckpt(ckpt::Archiver &ar)
 {
     Prefetcher::ckpt(ar);
-    ckpt::ckptFlatMap(ar, table_, [](ckpt::Archiver &a, Entry &e) {
-        a.u64(e.tag);
-        a.vecU64(e.succ);
-    });
+    table_.ckpt(ar);
     ckpt::ckptCircularBuffer(ar, recentAccesses_,
                              [](ckpt::Archiver &a, Addr &addr) {
         a.u64(addr);

@@ -14,10 +14,11 @@
  * need, and the same observation that leads the paper to place the
  * EBCP control in front of the crossbar where it sees every request.
  *
- * The table is direct-mapped and tag-checked like Solihin's, but
- * held on chip (sized like EBCP's on-chip variant); each entry keeps
- * the `width` most recent successor misses, and prediction chains
- * through successors-of-successors until `degree` lines are named.
+ * The table is EBCP's CorrelationTable -- direct-mapped, tag-checked
+ * and MRU-ordered -- but held on chip (sized like EBCP's on-chip
+ * variant); each entry keeps the `width` most recent successor
+ * misses, and prediction chains through successors-of-successors
+ * until `degree` lines are named.
  */
 
 #ifndef EBCP_PREFETCH_AMC_HH
@@ -26,9 +27,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "prefetch/correlation_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "util/circular_buffer.hh"
-#include "util/flat_map.hh"
 #include "util/status.hh"
 
 namespace ebcp
@@ -54,29 +55,24 @@ class AmcPrefetcher : public Prefetcher
 
     void observeAccess(const L2AccessInfo &info) override;
 
-    /** Re-derive table invariants (tags, widths, window bound). */
+    /** Re-derive the table's invariants and the window bound. */
     void audit(AuditContext &ctx) const override;
 
     /** Serialize or restore all learned state (checkpointing). */
     void ckpt(ckpt::Archiver &ar) override;
 
   private:
-    struct Entry
-    {
-        Addr tag = InvalidAddr;
-        std::vector<Addr> succ; //!< MRU-first successor misses
-    };
-
-    std::uint64_t indexOf(Addr key) const;
     void train(Addr miss_line);
     void predict(Addr line, Tick when);
 
     AmcConfig cfg_;
-    FlatMap<Entry> table_;
+    CorrelationTable table_;
     CircularBuffer<Addr> recentAccesses_;
+    // Scratch reused across calls: a lookup's successors, and the
+    // one-address payload of a training update.
+    std::vector<Addr> succ_;
+    std::vector<Addr> miss_;
 
-    Scalar trains_{"trains", "successor updates recorded"};
-    Scalar matches_{"matches", "lookups that matched the tag"};
     Scalar issued_{"issued", "prefetches handed to the engine"};
 };
 

@@ -1,4 +1,4 @@
-#include "core/correlation_table.hh"
+#include "prefetch/correlation_table.hh"
 
 #include <algorithm>
 #include <utility>

@@ -1,12 +1,14 @@
 /**
  * @file
- * The main-memory correlation table (Section 3.4.2, Figure 3).
+ * The correlation table: EBCP's main-memory table (Section 3.4.2,
+ * Figure 3), and the on-chip access-to-miss table of AMC.
  *
  * Functionally the table is direct-mapped: index = hash(key) mod
  * entries, one tag per entry, N prefetch-address slots managed LRU.
- * Timing is *not* modelled here -- the prefetcher issues the
- * low-priority memory reads/writes through its PrefetchEngine; this
- * class answers what those accesses would find.
+ * Timing is *not* modelled here -- EBCP issues the low-priority
+ * memory reads/writes through its PrefetchEngine, and AMC's table
+ * costs nothing to read; this class answers what an access would
+ * find.
  *
  * The simulator-host storage is a lazily populated hash map, so the
  * idealized 8M-entry / 32-address configuration costs memory only for
@@ -34,8 +36,8 @@
  * a naive list-based reference model.
  */
 
-#ifndef EBCP_CORE_CORRELATION_TABLE_HH
-#define EBCP_CORE_CORRELATION_TABLE_HH
+#ifndef EBCP_PREFETCH_CORRELATION_TABLE_HH
+#define EBCP_PREFETCH_CORRELATION_TABLE_HH
 
 #include <cstdint>
 #include <vector>
@@ -179,4 +181,4 @@ class CorrelationTable
 
 } // namespace ebcp
 
-#endif // EBCP_CORE_CORRELATION_TABLE_HH
+#endif // EBCP_PREFETCH_CORRELATION_TABLE_HH

@@ -14,13 +14,11 @@ cacheIdentity(ckpt::Archiver &ar, const CacheConfig &c)
     unsigned ways = c.ways;
     unsigned line = c.lineBytes;
     Tick hit = c.hitLatency;
-    ReplPolicy repl = c.repl;
     ar.str(name);
     ar.u64(size);
     ar.uns(ways);
     ar.uns(line);
     ar.u64(hit);
-    ar.enum32(repl);
 }
 
 void
@@ -131,7 +129,6 @@ serializePrefetcherIdentity(ckpt::Archiver &ar, const PrefetcherParams &pf)
     ar.u64(retry);
     ar.uns(ncs);
     ar.boolean(onChip);
-    faultIdentity(ar, pf.ebcp.faults);
 
     std::uint64_t ste = pf.solihin.tableEntries;
     unsigned sd = pf.solihin.depth, sw = pf.solihin.width;

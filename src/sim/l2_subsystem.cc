@@ -21,15 +21,10 @@ L2Subsystem::L2Subsystem(const SimConfig &cfg, MainMemory &mem,
     prefetcher_.attachLedger(ledger_);
     stats_.add(offChipInst_);
     stats_.add(offChipLoad_);
-    stats_.add(issuedPrefetches_);
     stats_.add(droppedPrefetches_);
     stats_.add(filteredPrefetches_);
-    stats_.add(usefulPrefetches_);
-    stats_.add(latePrefetchStalls_);
-    stats_.add(lateStallTicks_);
     stats_.add(injectedStalls_);
     stats_.addChild(l2_.stats());
-    stats_.addChild(prefBuf_.stats());
     stats_.addChild(l2Mshrs_.stats());
     stats_.addChild(epochs_.stats());
     stats_.addChild(ledger_.stats());
@@ -102,7 +97,7 @@ L2Subsystem::access(Addr addr, Addr pc, Tick when, bool is_inst,
     }
 
     // The prefetch buffer is searched in parallel with the L2.
-    PrefBufHit pb = prefBuf_.lookup(line, when);
+    PrefBufHit pb = prefBuf_.lookup(line);
     if (pb.hit) {
         // A hit on an in-flight prefetch waits for that fill, but
         // never longer than a demand fetch issued right now would
@@ -117,9 +112,6 @@ L2Subsystem::access(Addr addr, Addr pc, Tick when, bool is_inst,
         // A hit on a still-in-flight prefetch stalls like a
         // (shortened) off-chip access and is epoch-relevant.
         if (data_ready > when + l2_lat) {
-            ++latePrefetchStalls_;
-            lateStallTicks_.sample(
-                static_cast<double>(data_ready - when - l2_lat));
             observeEpoch(when, data_ready);
             out.offChip = true;
             ledger_.onHitLate(data_ready - when - l2_lat, pb.source);
@@ -131,7 +123,6 @@ L2Subsystem::access(Addr addr, Addr pc, Tick when, bool is_inst,
             EBCP_TRACE_EVENT(trace_, TraceEventKind::PrefetchHitTimely,
                              when, 0, line);
         }
-        ++usefulPrefetches_;
         info.prefBufHit = true;
         info.complete = data_ready;
         l2_.fill(line);
@@ -182,9 +173,8 @@ L2Subsystem::storeAccess(Addr addr, Tick when)
         return when + l2_.hitLatency();
 
     // Stores can also be satisfied by a prefetched line.
-    PrefBufHit pb = prefBuf_.lookup(line, when);
+    PrefBufHit pb = prefBuf_.lookup(line);
     if (pb.hit) {
-        ++usefulPrefetches_;
         const Tick on_chip = when + l2_.hitLatency();
         if (pb.readyTime > on_chip) {
             ledger_.onHitLate(pb.readyTime - on_chip, pb.source);
@@ -223,7 +213,6 @@ L2Subsystem::issuePrefetch(Addr line_addr, Tick when,
         ++droppedPrefetches_;
         return;
     }
-    ++issuedPrefetches_;
     ledger_.onIssue(source);
     EBCP_TRACE_EVENT(trace_, TraceEventKind::PrefetchIssue, when, 0, line,
                      corr_index);

@@ -76,14 +76,6 @@ class L2Subsystem : public PrefetchEngine
     PrefetchLedger &ledger() { return ledger_; }
     const PrefetchLedger &ledger() const { return ledger_; }
 
-    std::uint64_t usefulPrefetches() const
-    {
-        return usefulPrefetches_.value();
-    }
-    std::uint64_t issuedPrefetches() const
-    {
-        return issuedPrefetches_.value();
-    }
     std::uint64_t droppedPrefetches() const
     {
         return droppedPrefetches_.value();
@@ -160,18 +152,10 @@ class L2Subsystem : public PrefetchEngine
     StatGroup stats_;
     Scalar offChipInst_{"offchip_inst", "instruction fetches off chip"};
     Scalar offChipLoad_{"offchip_load", "loads off chip"};
-    Scalar issuedPrefetches_{"issued_prefetches",
-                             "prefetch reads sent to memory"};
     Scalar droppedPrefetches_{"dropped_prefetches",
                               "prefetch reads dropped (saturation)"};
     Scalar filteredPrefetches_{"filtered_prefetches",
                                "prefetch requests already on chip"};
-    Scalar usefulPrefetches_{"useful_prefetches",
-                             "demand accesses served by the buffer"};
-    Scalar latePrefetchStalls_{"late_prefetch_stalls",
-                               "buffer hits that still had to wait"};
-    Average lateStallTicks_{"late_stall_ticks",
-                            "residual wait of late prefetch hits"};
     Scalar injectedStalls_{"injected_stalls",
                            "demand-stall faults injected"};
 };

@@ -23,23 +23,18 @@ makeValidated(const Config &cfg, Fn &&make)
 } // namespace
 
 StatusOr<std::unique_ptr<Prefetcher>>
-tryCreatePrefetcher(const PrefetcherParams &p)
+tryCreatePrefetcher(const PrefetcherParams &p, const FaultPlan &faults)
 {
     const std::string &n = p.name;
 
     if (n == "null")
         return std::make_unique<NullPrefetcher>();
 
-    if (n == "ebcp")
-        return makeValidated(p.ebcp, [](const EbcpConfig &c) {
-            return std::make_unique<EpochBasedPrefetcher>(c);
-        });
-
-    if (n == "ebcp-minus") {
+    if (n == "ebcp" || n == "ebcp-minus") {
         EbcpConfig c = p.ebcp;
-        c.minusVariant = true;
-        return makeValidated(c, [](const EbcpConfig &mc) {
-            return std::make_unique<EpochBasedPrefetcher>(mc);
+        c.minusVariant = c.minusVariant || n == "ebcp-minus";
+        return makeValidated(c, [&faults](const EbcpConfig &ec) {
+            return std::make_unique<EpochBasedPrefetcher>(ec, faults);
         });
     }
 
@@ -112,7 +107,7 @@ tryCreatePrefetcher(const PrefetcherParams &p)
             PrefetcherParams cp = p;
             cp.name = child;
             StatusOr<std::unique_ptr<Prefetcher>> c =
-                tryCreatePrefetcher(cp);
+                tryCreatePrefetcher(cp, faults);
             if (!c.ok())
                 return invalidArgError("composite child '", child,
                                        "': ",
@@ -131,9 +126,9 @@ tryCreatePrefetcher(const PrefetcherParams &p)
 }
 
 std::unique_ptr<Prefetcher>
-createPrefetcher(const PrefetcherParams &p)
+createPrefetcher(const PrefetcherParams &p, const FaultPlan &faults)
 {
-    StatusOr<std::unique_ptr<Prefetcher>> r = tryCreatePrefetcher(p);
+    StatusOr<std::unique_ptr<Prefetcher>> r = tryCreatePrefetcher(p, faults);
     fatal_if(!r.ok(), r.status().toString());
     return r.take();
 }

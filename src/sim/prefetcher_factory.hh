@@ -32,6 +32,7 @@
 #include "prefetch/solihin.hh"
 #include "prefetch/stream_prefetcher.hh"
 #include "prefetch/tcp.hh"
+#include "util/fault.hh"
 #include "util/status.hh"
 
 namespace ebcp
@@ -54,13 +55,17 @@ struct PrefetcherParams
 
 /**
  * Build a prefetcher; an unknown name yields NotFound with a
- * nearest-name suggestion.
+ * nearest-name suggestion. @p faults is the run's fault plan
+ * (SimConfig::faults): EBCP, alone or as a composite child, applies
+ * its table-read faults.
  */
 StatusOr<std::unique_ptr<Prefetcher>>
-tryCreatePrefetcher(const PrefetcherParams &p);
+tryCreatePrefetcher(const PrefetcherParams &p,
+                    const FaultPlan &faults = {});
 
 /** As tryCreatePrefetcher(), but an unknown name is fatal. */
-std::unique_ptr<Prefetcher> createPrefetcher(const PrefetcherParams &p);
+std::unique_ptr<Prefetcher> createPrefetcher(const PrefetcherParams &p,
+                                             const FaultPlan &faults = {});
 
 /** Every name the factory accepts, and only those (CLI help, name
  * suggestions, tests). */

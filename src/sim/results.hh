@@ -46,6 +46,10 @@ struct SimResults
 
     double readBusUtil = 0.0;  //!< busy fraction of the read bus
     double writeBusUtil = 0.0; //!< busy fraction of the write bus
+
+    /** Field-by-field and exact, doubles included: the simulator
+     * promises bit-identical results, not similar ones. */
+    bool operator==(const SimResults &) const = default;
 };
 
 /** Percent improvement of @p pf over @p base (paper's primary metric:

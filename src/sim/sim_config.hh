@@ -22,9 +22,9 @@ struct SimConfig
     CoreConfig core;
     MemConfig mem;
 
-    CacheConfig l1i{"l1i", 32 * KiB, 4, 64, 3, ReplPolicy::Lru};
-    CacheConfig l1d{"l1d", 32 * KiB, 4, 64, 3, ReplPolicy::Lru};
-    CacheConfig l2{"l2", 2 * MiB, 4, 64, 20, ReplPolicy::Lru};
+    CacheConfig l1i{"l1i", 32 * KiB, 4, 64, 3};
+    CacheConfig l1d{"l1d", 32 * KiB, 4, 64, 3};
+    CacheConfig l2{"l2", 2 * MiB, 4, 64, 20};
 
     unsigned l2Mshrs = 32;
 
@@ -44,7 +44,12 @@ struct SimConfig
      */
     Tick watchdogTicks = 0;
 
-    /** Deterministic fault-injection plan (none armed by default). */
+    /**
+     * The run's deterministic fault-injection plan (none armed by
+     * default): the L2 side reads its demand-stall fault, the
+     * prefetcher factory hands it to EBCP for table-read faults, and
+     * wrapTraceFaults() applies its trace faults.
+     */
     FaultPlan faults;
 };
 

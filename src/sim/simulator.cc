@@ -34,7 +34,8 @@ coreSeed(std::uint64_t seed, unsigned core, unsigned cores)
 
 Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
                      unsigned cores)
-    : cfg_(cfg), pf_(pf), mem_(cfg.mem), prefetcher_(createPrefetcher(pf))
+    : cfg_(cfg), pf_(pf), mem_(cfg.mem),
+      prefetcher_(createPrefetcher(pf, cfg.faults))
 {
     fatal_if(cores == 0, "a system needs at least one core");
     l2side_ = std::make_unique<L2Subsystem>(cfg_, mem_, *prefetcher_);
@@ -336,27 +337,18 @@ Simulator::collect()
     r.l2InstMissPer1k = l2side_->offChipInst() * per1k;
     r.l2LoadMissPer1k = l2side_->offChipLoad() * per1k;
 
-    r.usefulPrefetches = l2side_->usefulPrefetches();
-    r.issuedPrefetches = l2side_->issuedPrefetches();
     r.droppedPrefetches = l2side_->droppedPrefetches();
 
     const PrefetchLedger &ledger = l2side_->ledger();
+    r.usefulPrefetches = ledger.used();
+    r.issuedPrefetches = ledger.issued();
     r.timelyPrefetches = ledger.timelyHits();
     r.latePrefetches = ledger.lateHits();
     r.earlyEvictedPrefetches = ledger.evictedUnused();
+    r.coverage =
+        ledger.coverage(l2side_->offChipInst() + l2side_->offChipLoad());
+    r.accuracy = ledger.accuracy();
     r.timeliness = ledger.timeliness();
-
-    const std::uint64_t misses =
-        l2side_->offChipInst() + l2side_->offChipLoad();
-    const std::uint64_t baseline_misses = misses + r.usefulPrefetches;
-    r.coverage = baseline_misses
-                     ? static_cast<double>(r.usefulPrefetches) /
-                           static_cast<double>(baseline_misses)
-                     : 0.0;
-    r.accuracy = r.issuedPrefetches
-                     ? static_cast<double>(r.usefulPrefetches) /
-                           static_cast<double>(r.issuedPrefetches)
-                     : 0.0;
 
     if (r.cycles) {
         r.readBusUtil =

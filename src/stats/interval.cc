@@ -6,8 +6,8 @@ namespace ebcp
 {
 
 IntervalSampler::IntervalSampler(const StatGroup &root,
-                                 std::uint64_t interval, Mode mode)
-    : interval_(interval), mode_(mode)
+                                 std::uint64_t interval)
+    : interval_(interval)
 {
     fatal_if(interval == 0, "interval sampler with a zero interval");
     collect(root, root.name());
@@ -58,11 +58,7 @@ IntervalSampler::sample(std::uint64_t insts)
     snap.insts = insts;
     snap.values.resize(probes_.size());
     for (std::size_t i = 0; i < probes_.size(); ++i) {
-        if (mode_ == Mode::Cumulative) {
-            snap.values[i] = probes_[i].isAverage
-                                 ? (count[i] ? sum[i] / count[i] : 0.0)
-                                 : sum[i];
-        } else if (probes_[i].isAverage) {
+        if (probes_[i].isAverage) {
             const double dc = count[i] - prevCount_[i];
             snap.values[i] = dc ? (sum[i] - prevSum_[i]) / dc : 0.0;
         } else {
@@ -87,7 +83,7 @@ IntervalSampler::writeJson(JsonWriter &w) const
 {
     w.beginObject();
     w.kv("interval", interval_);
-    w.kv("mode", mode_ == Mode::Delta ? "delta" : "cumulative");
+    w.kv("mode", "delta");
     w.key("paths").beginArray();
     for (const std::string &p : paths_)
         w.value(p);

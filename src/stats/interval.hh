@@ -28,26 +28,19 @@
 namespace ebcp
 {
 
-/** Snapshots a statistic tree every N instructions. */
+/** Snapshots a statistic tree every N instructions; each snapshot
+ * holds the change since the previous boundary. */
 class IntervalSampler
 {
   public:
-    enum class Mode : std::uint8_t
-    {
-        Cumulative, //!< running totals at each boundary
-        Delta,      //!< change since the previous boundary
-    };
-
     /**
      * @param root group whose Scalars and Averages are sampled; the
      *        dotted paths are resolved once, here (never per sample)
      * @param interval instructions between snapshots (must be > 0)
      */
-    IntervalSampler(const StatGroup &root, std::uint64_t interval,
-                    Mode mode = Mode::Delta);
+    IntervalSampler(const StatGroup &root, std::uint64_t interval);
 
     std::uint64_t interval() const { return interval_; }
-    Mode mode() const { return mode_; }
 
     /**
      * Record a snapshot at instruction boundary @p insts (the
@@ -80,8 +73,8 @@ class IntervalSampler
 
   private:
     // A sampled statistic reduced to (sum, count): Scalars are
-    // (value, 1); Averages keep their real sum and count so Delta
-    // mode can compute a true per-interval mean.
+    // (value, 1); Averages keep their real sum and count so a
+    // snapshot can hold a true per-interval mean.
     struct Probe
     {
         const StatBase *stat = nullptr;
@@ -92,7 +85,6 @@ class IntervalSampler
     void read(std::vector<double> &sum, std::vector<double> &count) const;
 
     std::uint64_t interval_;
-    Mode mode_;
     std::vector<std::string> paths_;
     std::vector<Probe> probes_;
     std::vector<double> prevSum_;

@@ -237,4 +237,18 @@ FaultInjectingTraceSource::ckpt(ckpt::Archiver &ar)
     stats_.ckpt(ar);
 }
 
+std::vector<std::unique_ptr<FaultInjectingTraceSource>>
+wrapTraceFaults(std::vector<TraceSource *> &sources, const FaultPlan &plan)
+{
+    std::vector<std::unique_ptr<FaultInjectingTraceSource>> wrappers;
+    if (!plan.traceBitflip && !plan.traceTruncate && !plan.traceShortRead)
+        return wrappers;
+    for (TraceSource *&src : sources) {
+        wrappers.push_back(
+            std::make_unique<FaultInjectingTraceSource>(*src, plan));
+        src = wrappers.back().get();
+    }
+    return wrappers;
+}
+
 } // namespace ebcp

@@ -22,6 +22,7 @@
 #ifndef EBCP_TRACE_FAULT_INJECTION_HH
 #define EBCP_TRACE_FAULT_INJECTION_HH
 
+#include <memory>
 #include <vector>
 
 #include "cpu/trace.hh"
@@ -139,6 +140,16 @@ class FaultInjectingTraceSource : public TraceSource
     Scalar recordsDropped_{"records_dropped",
                            "records lost to short-read faults"};
 };
+
+/**
+ * Route each of @p sources (one per core) through its own
+ * FaultInjectingTraceSource when @p plan arms a trace fault: every
+ * entry is repointed at its wrapper, and the wrappers are returned
+ * for the caller to keep alive and report from. Nothing is wrapped,
+ * and the result is empty, when no trace fault is armed.
+ */
+std::vector<std::unique_ptr<FaultInjectingTraceSource>>
+wrapTraceFaults(std::vector<TraceSource *> &sources, const FaultPlan &plan);
 
 } // namespace ebcp
 

@@ -19,7 +19,7 @@
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "cache/prefetch_buffer.hh"
-#include "core/correlation_table.hh"
+#include "prefetch/correlation_table.hh"
 #include "core/ebcp.hh"
 #include "core/emab.hh"
 #include "core/table_allocation.hh"
@@ -32,6 +32,8 @@
 #include "util/flat_map.hh"
 #include "util/json.hh"
 #include "verify/audit.hh"
+
+#include "results_print.hh"
 
 using namespace ebcp;
 
@@ -232,7 +234,7 @@ TEST(ComponentAudits, MshrFileTrips)
 
 TEST(ComponentAudits, CacheTagArrayTrips)
 {
-    Cache c(CacheConfig{"l2_ut", 64 * KiB, 4, 64, 20, ReplPolicy::Lru});
+    Cache c(CacheConfig{"l2_ut", 64 * KiB, 4, 64, 20});
     for (Addr a = 0; a < 64 * 64; a += 64)
         c.fill(a);
     EXPECT_TRUE(auditOf(c).clean());
@@ -464,13 +466,7 @@ TEST(SimulatorAudit, AuditingDoesNotPerturbResults)
     ASSERT_TRUE(audited.configureAudit(everyTicks(2000)).ok());
     SimResults b = audited.run(*s2, 30000, 60000);
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches);
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.coverage, b.coverage);
+    EXPECT_EQ(a, b);
     ASSERT_NE(audited.auditor(), nullptr);
     EXPECT_GT(audited.auditor()->passes(), 0u);
 }
@@ -627,7 +623,6 @@ TEST(AuditFaultMatrix, TableDropCaughtByConservation)
     cfg.faults.rate = 1.0;
     PrefetcherParams pf;
     pf.name = "ebcp";
-    pf.ebcp.faults = cfg.faults;
 
     Simulator sim(cfg, pf);
     auto src = makeWorkload("database");
@@ -647,7 +642,6 @@ TEST(AuditFaultMatrix, TableDelayCaughtByLatencyBound)
     cfg.faults.tableDelayTicks = 50000;
     PrefetcherParams pf;
     pf.name = "ebcp";
-    pf.ebcp.faults = cfg.faults;
 
     Simulator sim(cfg, pf);
     auto src = makeWorkload("database");
@@ -744,7 +738,6 @@ TEST(AuditFaultMatrix, AbortPolicyTurnsAFaultIntoAFailedRun)
     cfg.faults.rate = 1.0;
     PrefetcherParams pf;
     pf.name = "ebcp";
-    pf.ebcp.faults = cfg.faults;
 
     Simulator sim(cfg, pf);
     ASSERT_TRUE(

@@ -36,17 +36,15 @@ smallCache()
 /**
  * Naive reference tag array: one {tag, valid, dirty, stamp} struct per
  * way and a linear valid/tag scan, with the victim rule spelled out
- * (first invalid way, else a random way or the lowest-indexed oldest
- * stamp). Its checkpoint writes that struct way by way -- the byte
+ * (first invalid way, else the lowest-indexed oldest stamp). Its checkpoint writes that struct way by way -- the byte
  * layout the real array must keep.
  */
 class RefTagArray
 {
   public:
-    RefTagArray(unsigned sets, unsigned ways, unsigned line_bytes,
-                ReplPolicy repl)
+    RefTagArray(unsigned sets, unsigned ways, unsigned line_bytes)
         : sets_(sets), ways_(ways), shift_(floorLog2(line_bytes)),
-          repl_(repl), v_(static_cast<std::size_t>(sets) * ways)
+          v_(static_cast<std::size_t>(sets) * ways)
     {}
 
     bool contains(Addr a) const { return find(a) >= 0; }
@@ -116,7 +114,6 @@ class RefTagArray
             a.u64(w.stamp);
         }, "tag array ways");
         ar.u64(counter_);
-        ckpt::ckptPcg32(ar, rng_);
         return out;
     }
 
@@ -150,8 +147,6 @@ class RefTagArray
         for (unsigned w = 0; w < ways_; ++w)
             if (!way(a, w).valid)
                 return w;
-        if (repl_ == ReplPolicy::Random)
-            return rng_.below(ways_);
         unsigned best = 0;
         for (unsigned w = 1; w < ways_; ++w)
             if (way(a, w).stamp < way(a, best).stamp)
@@ -162,10 +157,8 @@ class RefTagArray
     unsigned sets_;
     unsigned ways_;
     unsigned shift_;
-    ReplPolicy repl_;
     std::vector<Way> v_;
     std::uint64_t counter_ = 0;
-    Pcg32 rng_{12345};
 };
 
 std::string
@@ -191,12 +184,11 @@ validLines(const TagArray &t)
  * pool three times the capacity so sets keep overflowing.
  */
 void
-compareWithReference(unsigned sets, unsigned ways, ReplPolicy repl,
-                     bool with_invalidate, std::uint64_t seed,
-                     unsigned ops)
+compareWithReference(unsigned sets, unsigned ways, bool with_invalidate,
+                     std::uint64_t seed, unsigned ops)
 {
-    TagArray real(sets, ways, 64, repl);
-    RefTagArray ref(sets, ways, 64, repl);
+    TagArray real(sets, ways, 64);
+    RefTagArray ref(sets, ways, 64);
     Pcg32 rng(seed);
     const std::uint32_t pool = sets * ways * 3;
     for (unsigned i = 0; i < ops; ++i) {
@@ -243,15 +235,12 @@ TEST(TagArrayReference, MatchesNaiveScanAtL1AndL2Geometry)
         unsigned sets, ways;
     };
     for (const Shape s : {Shape{128, 4}, Shape{8192, 4}, Shape{64, 8}}) {
-        for (const ReplPolicy p : {ReplPolicy::Lru, ReplPolicy::Random}) {
-            for (const bool inv : {false, true}) {
-                SCOPED_TRACE(testing::Message()
-                             << s.sets << "x" << s.ways << " "
-                             << (p == ReplPolicy::Lru ? "lru" : "random")
-                             << (inv ? " +invalidate" : ""));
-                compareWithReference(s.sets, s.ways, p, inv,
-                                     s.sets * 31 + s.ways + inv, 60000);
-            }
+        for (const bool inv : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << s.sets << "x" << s.ways
+                         << (inv ? " +invalidate" : ""));
+            compareWithReference(s.sets, s.ways, inv,
+                                 s.sets * 31 + s.ways + inv, 60000);
         }
     }
 }
@@ -261,7 +250,7 @@ TEST(TagArrayReference, FilledArrayCheckpointKeepsStructLayout)
     // A filled array restores into a fresh one and re-serializes to
     // the same bytes, which equal the reference struct layout.
     TagArray a(128, 4, 64);
-    RefTagArray ref(128, 4, 64, ReplPolicy::Lru);
+    RefTagArray ref(128, 4, 64);
     Pcg32 rng(7);
     for (unsigned i = 0; i < 5000; ++i) {
         const Addr addr = static_cast<Addr>(rng.below(4096)) << 6;
@@ -382,16 +371,6 @@ TEST(TagArrayTest, ConflictsOnlyWithinSet)
     t.insert(0x80);  // set 0 again: evicts 0x0 only
     EXPECT_FALSE(t.contains(0x0));
     EXPECT_TRUE(t.contains(0x40));
-}
-
-TEST(TagArrayTest, RandomPolicyStillEvictsSomething)
-{
-    TagArray t(1, 2, 64, ReplPolicy::Random);
-    t.insert(0x0);
-    t.insert(0x40);
-    Eviction ev = t.insert(0x80);
-    EXPECT_TRUE(ev.valid);
-    EXPECT_EQ(t.validCount(), 2u);
 }
 
 TEST(CacheTest, HitMissCounters)

@@ -30,6 +30,7 @@
 #include "trace/workloads.hh"
 #include "util/crc32.hh"
 
+#include "results_print.hh"
 #include "temp_path.hh"
 
 using namespace ebcp;
@@ -41,31 +42,6 @@ namespace
 
 constexpr std::uint64_t kWarm = 60'000;
 constexpr std::uint64_t kMeasure = 120'000;
-
-void
-expectBitIdentical(const SimResults &a, const SimResults &b,
-                   const std::string &what)
-{
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.epochs, b.epochs) << what;
-    EXPECT_EQ(a.cpi, b.cpi) << what;
-    EXPECT_EQ(a.epochsPer1k, b.epochsPer1k) << what;
-    EXPECT_EQ(a.l2InstMissPer1k, b.l2InstMissPer1k) << what;
-    EXPECT_EQ(a.l2LoadMissPer1k, b.l2LoadMissPer1k) << what;
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches) << what;
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches) << what;
-    EXPECT_EQ(a.droppedPrefetches, b.droppedPrefetches) << what;
-    EXPECT_EQ(a.timelyPrefetches, b.timelyPrefetches) << what;
-    EXPECT_EQ(a.latePrefetches, b.latePrefetches) << what;
-    EXPECT_EQ(a.earlyEvictedPrefetches, b.earlyEvictedPrefetches)
-        << what;
-    EXPECT_EQ(a.coverage, b.coverage) << what;
-    EXPECT_EQ(a.accuracy, b.accuracy) << what;
-    EXPECT_EQ(a.timeliness, b.timeliness) << what;
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil) << what;
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil) << what;
-}
 
 /** A warmed simulator's serialized state plus its cold results. */
 struct WarmRun
@@ -423,7 +399,7 @@ TEST(CkptRoundtrip, RestoredRunIsBitIdenticalToUninterrupted)
         ASSERT_TRUE(sim.restoreCheckpoint(warm.blob, *src).ok());
         StatusOr<SimResults> r = sim.runMeasure(*src, kMeasure);
         ASSERT_TRUE(r.ok()) << r.status().toString();
-        expectBitIdentical(r.value(), warm.coldResults, pf_name);
+        EXPECT_EQ(r.value(), warm.coldResults) << pf_name;
     }
 
     // The same round trip on a 2-core system: per-core sections, the
@@ -453,7 +429,7 @@ TEST(CkptRoundtrip, RestoredRunIsBitIdenticalToUninterrupted)
         ASSERT_TRUE(sim.restoreCheckpoint(blob, src.list).ok());
         StatusOr<SimResults> r = sim.runMeasure(src.list, kMeasure);
         ASSERT_TRUE(r.ok()) << r.status().toString();
-        expectBitIdentical(r.value(), cold, pf_name);
+        EXPECT_EQ(r.value(), cold) << pf_name;
 
         // The core count is part of the configuration identity.
         Simulator one(cfg, pf);
@@ -486,7 +462,7 @@ TEST(CkptRoundtrip, FileRoundTripThroughAtomicWrite)
         ASSERT_TRUE(sim.restoreCheckpointFile(path, *src).ok());
         StatusOr<SimResults> r = sim.runMeasure(*src, kMeasure);
         ASSERT_TRUE(r.ok());
-        expectBitIdentical(r.value(), cold, "file roundtrip");
+        EXPECT_EQ(r.value(), cold) << "file roundtrip";
     }
     std::remove(path.c_str());
 }
@@ -605,7 +581,7 @@ expectSourceRoundTrip(const PrefetcherParams &pf, MakeSource make,
     ASSERT_TRUE(sim.restoreCheckpoint(blob, src).ok());
     StatusOr<SimResults> r = sim.runMeasure(src, kMeasure);
     ASSERT_TRUE(r.ok()) << r.status().toString();
-    expectBitIdentical(r.value(), uninterrupted, what);
+    EXPECT_EQ(r.value(), uninterrupted) << what;
 }
 
 /** The trace-fault plan of the robustness tests. */

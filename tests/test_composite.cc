@@ -21,6 +21,8 @@
 #include "trace/workloads.hh"
 #include "verify/audit.hh"
 
+#include "results_print.hh"
+
 using namespace ebcp;
 using namespace ebcp::harness;
 
@@ -53,20 +55,6 @@ makeDesc(const std::string &workload, const std::string &pf)
     d.scale.warm = kWarm;
     d.scale.measure = kMeasure;
     return d;
-}
-
-void
-expectBitIdentical(const SimResults &a, const SimResults &b,
-                   const std::string &what)
-{
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.cpi, b.cpi) << what;
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches) << what;
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches) << what;
-    EXPECT_EQ(a.coverage, b.coverage) << what;
-    EXPECT_EQ(a.accuracy, b.accuracy) << what;
-    EXPECT_EQ(a.timeliness, b.timeliness) << what;
 }
 
 unsigned
@@ -197,7 +185,7 @@ TEST(CompositeCkpt, RestoredRunIsBitIdentical)
         StatusOr<SimResults> resumed =
             restored.runMeasure(*src2, kMeasure);
         ASSERT_TRUE(resumed.ok());
-        expectBitIdentical(cold.value(), resumed.value(), name);
+        EXPECT_EQ(cold.value(), resumed.value()) << name;
     }
 }
 
@@ -242,7 +230,6 @@ TEST(CompositeDeterminism, BitIdenticalAcrossJobCounts)
     for (std::size_t i = 0; i < descs.size(); ++i) {
         ASSERT_TRUE(a[i].ok()) << a[i].status.toString();
         ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
-        expectBitIdentical(a[i].results, b[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(a[i].results, b[i].results) << runLabel(descs[i]);
     }
 }

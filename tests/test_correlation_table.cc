@@ -16,7 +16,7 @@
 #include <string>
 
 #include "ckpt/archiver.hh"
-#include "core/correlation_table.hh"
+#include "prefetch/correlation_table.hh"
 #include "util/bitfield.hh"
 #include "util/random.hh"
 #include "verify/audit.hh"

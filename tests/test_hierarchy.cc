@@ -85,7 +85,7 @@ TEST(HierarchyTest, PrefetchedLineAvertsOffChipMiss)
     r.l2side.issuePrefetch(0x9000, 0, 0, false);
     MemOutcome o = r.hier.load(0x9000, 0x400, 5000);
     EXPECT_FALSE(o.offChip);
-    EXPECT_EQ(r.l2side.usefulPrefetches(), 1u);
+    EXPECT_EQ(r.l2side.ledger().used(), 1u);
     EXPECT_EQ(r.l2side.offChipLoad(), 0u);
 }
 
@@ -117,7 +117,7 @@ TEST(HierarchyTest, PrefetchFilteredWhenResident)
     Rig r;
     r.hier.load(0x9000, 0x400, 0); // now in L2
     r.l2side.issuePrefetch(0x9000, 5000, 0, false);
-    EXPECT_EQ(r.l2side.issuedPrefetches(), 0u);
+    EXPECT_EQ(r.l2side.ledger().issued(), 0u);
 }
 
 TEST(HierarchyTest, DuplicatePrefetchFiltered)
@@ -125,7 +125,7 @@ TEST(HierarchyTest, DuplicatePrefetchFiltered)
     Rig r;
     r.l2side.issuePrefetch(0x9000, 0, 0, false);
     r.l2side.issuePrefetch(0x9000, 1, 0, false);
-    EXPECT_EQ(r.l2side.issuedPrefetches(), 1u);
+    EXPECT_EQ(r.l2side.ledger().issued(), 1u);
 }
 
 TEST(HierarchyTest, PrefetchHitReportsCorrIndex)

@@ -28,6 +28,7 @@
 #include "util/event_trace.hh"
 #include "util/json.hh"
 
+#include "results_print.hh"
 #include "temp_path.hh"
 
 using namespace ebcp;
@@ -65,31 +66,6 @@ runObserved(const std::string &workload, const std::string &pf_name,
     return sim.run(*src, kWarm, kMeasure);
 }
 
-/** Every SimResults field, compared exactly (doubles included: the
- * observed run must compute the *same* arithmetic, not similar). */
-void
-expectBitExact(const SimResults &a, const SimResults &b)
-{
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.epochsPer1k, b.epochsPer1k);
-    EXPECT_EQ(a.l2InstMissPer1k, b.l2InstMissPer1k);
-    EXPECT_EQ(a.l2LoadMissPer1k, b.l2LoadMissPer1k);
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches);
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches);
-    EXPECT_EQ(a.droppedPrefetches, b.droppedPrefetches);
-    EXPECT_EQ(a.timelyPrefetches, b.timelyPrefetches);
-    EXPECT_EQ(a.latePrefetches, b.latePrefetches);
-    EXPECT_EQ(a.earlyEvictedPrefetches, b.earlyEvictedPrefetches);
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.accuracy, b.accuracy);
-    EXPECT_EQ(a.timeliness, b.timeliness);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-}
-
 } // namespace
 
 // --- Observation-only guarantee ------------------------------------
@@ -102,7 +78,7 @@ TEST(EventTrace, AttachedLogAndSamplerLeaveResultsBitExact)
             const SimResults plain = runPlain(workload, pf);
             TraceLog log;
             const SimResults observed = runObserved(workload, pf, log);
-            expectBitExact(plain, observed);
+            EXPECT_EQ(plain, observed);
         }
 }
 
@@ -267,24 +243,16 @@ TEST(IntervalSampler, DeltaIsChangeSincePreviousBoundary)
     Scalar hits("hits", "test counter");
     root.add(hits);
 
-    IntervalSampler cumulative(root, 1'000,
-                               IntervalSampler::Mode::Cumulative);
-    IntervalSampler delta(root, 1'000, IntervalSampler::Mode::Delta);
-    ASSERT_EQ(cumulative.paths().size(), 1u);
-    EXPECT_EQ(cumulative.paths()[0], "root.hits");
+    IntervalSampler delta(root, 1'000);
+    ASSERT_EQ(delta.paths().size(), 1u);
+    EXPECT_EQ(delta.paths()[0], "root.hits");
 
     hits += 10;
-    cumulative.sample(1'000);
     delta.sample(1'000);
     hits += 5;
-    cumulative.sample(2'000);
     delta.sample(2'000);
-    cumulative.sample(3'000); // no activity this interval
-    delta.sample(3'000);
+    delta.sample(3'000); // no activity this interval
 
-    EXPECT_EQ(cumulative.snapshots()[0].values[0], 10.0);
-    EXPECT_EQ(cumulative.snapshots()[1].values[0], 15.0);
-    EXPECT_EQ(cumulative.snapshots()[2].values[0], 15.0);
     EXPECT_EQ(delta.snapshots()[0].values[0], 10.0);
     EXPECT_EQ(delta.snapshots()[1].values[0], 5.0);
     EXPECT_EQ(delta.snapshots()[2].values[0], 0.0);
@@ -299,7 +267,7 @@ TEST(IntervalSampler, DeltaAverageIsPerIntervalMean)
     Average lat("lat", "test average");
     root.add(lat);
 
-    IntervalSampler delta(root, 100, IntervalSampler::Mode::Delta);
+    IntervalSampler delta(root, 100);
     lat.sample(10.0);
     lat.sample(20.0);
     delta.sample(100);

@@ -12,14 +12,14 @@ using namespace ebcp;
 TEST(PrefetchBufferTest, MissOnEmpty)
 {
     PrefetchBuffer b(64, 4, 64);
-    EXPECT_FALSE(b.lookup(0x1000, 10).hit);
+    EXPECT_FALSE(b.lookup(0x1000).hit);
 }
 
 TEST(PrefetchBufferTest, HitAfterInsert)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 5, 0, false);
-    PrefBufHit h = b.lookup(0x1000, 10);
+    PrefBufHit h = b.lookup(0x1000);
     EXPECT_TRUE(h.hit);
     EXPECT_EQ(h.readyTime, 5u);
 }
@@ -28,22 +28,22 @@ TEST(PrefetchBufferTest, HitConsumesEntry)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 5, 0, false);
-    EXPECT_TRUE(b.lookup(0x1000, 10).hit);
-    EXPECT_FALSE(b.lookup(0x1000, 10).hit);
+    EXPECT_TRUE(b.lookup(0x1000).hit);
+    EXPECT_FALSE(b.lookup(0x1000).hit);
 }
 
 TEST(PrefetchBufferTest, LineGranularity)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 5, 0, false);
-    EXPECT_TRUE(b.lookup(0x103f, 10).hit);
+    EXPECT_TRUE(b.lookup(0x103f).hit);
 }
 
 TEST(PrefetchBufferTest, InFlightHitReportsFutureReady)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 900, 0, false);
-    PrefBufHit h = b.lookup(0x1000, 100);
+    PrefBufHit h = b.lookup(0x1000);
     EXPECT_TRUE(h.hit);
     EXPECT_EQ(h.readyTime, 900u);
 }
@@ -52,7 +52,7 @@ TEST(PrefetchBufferTest, CarriesCorrelationIndex)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 5, 77, true);
-    PrefBufHit h = b.lookup(0x1000, 10);
+    PrefBufHit h = b.lookup(0x1000);
     EXPECT_TRUE(h.hasCorrIndex);
     EXPECT_EQ(h.corrIndex, 77u);
 }
@@ -61,7 +61,7 @@ TEST(PrefetchBufferTest, NoCorrelationIndexByDefault)
 {
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 5, 0, false);
-    EXPECT_FALSE(b.lookup(0x1000, 10).hasCorrIndex);
+    EXPECT_FALSE(b.lookup(0x1000).hasCorrIndex);
 }
 
 TEST(PrefetchBufferTest, DuplicateInsertKeepsEarlierReadyTime)
@@ -69,7 +69,7 @@ TEST(PrefetchBufferTest, DuplicateInsertKeepsEarlierReadyTime)
     PrefetchBuffer b(64, 4, 64);
     b.insert(0x1000, 100, 0, false);
     b.insert(0x1000, 500, 0, false);
-    EXPECT_EQ(b.lookup(0x1000, 0).readyTime, 100u);
+    EXPECT_EQ(b.lookup(0x1000).readyTime, 100u);
 }
 
 TEST(PrefetchBufferTest, ContainsDoesNotConsume)
@@ -78,7 +78,7 @@ TEST(PrefetchBufferTest, ContainsDoesNotConsume)
     b.insert(0x1000, 5, 0, false);
     EXPECT_TRUE(b.contains(0x1000));
     EXPECT_TRUE(b.contains(0x1000));
-    EXPECT_TRUE(b.lookup(0x1000, 10).hit);
+    EXPECT_TRUE(b.lookup(0x1000).hit);
 }
 
 TEST(PrefetchBufferTest, CapacityEvictsLru)
@@ -102,16 +102,6 @@ TEST(PrefetchBufferTest, FlushEmpties)
     b.insert(0x1000, 5, 0, false);
     b.flush();
     EXPECT_FALSE(b.contains(0x1000));
-}
-
-TEST(PrefetchBufferTest, StatsCountHitsAndInserts)
-{
-    PrefetchBuffer b(64, 4, 64);
-    b.insert(0x1000, 5, 0, false);
-    b.insert(0x2000, 5, 0, false);
-    b.lookup(0x1000, 10);
-    EXPECT_EQ(b.insertsTotal(), 2u);
-    EXPECT_EQ(b.hitsTotal(), 1u);
 }
 
 using PrefBufSizeTest = ::testing::TestWithParam<unsigned>;

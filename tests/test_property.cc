@@ -12,6 +12,8 @@
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
+#include "results_print.hh"
+
 using namespace ebcp;
 
 // ---------------------------------------------------------------------
@@ -113,8 +115,7 @@ TEST_P(DegreeSweep, VolumeAndDeterminism)
     auto s2 = makeWorkload("database");
     SimResults b = runOnce(cfg, p, *s2, 250000, 500000);
 
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches);
+    EXPECT_EQ(a, b);
     EXPECT_GE(a.coverage, 0.0);
 }
 

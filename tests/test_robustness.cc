@@ -19,6 +19,8 @@
 #include "trace/workloads.hh"
 #include "util/fault.hh"
 
+#include "results_print.hh"
+
 using namespace ebcp;
 
 namespace
@@ -48,7 +50,6 @@ runWithTraceFaults(std::uint64_t fault_seed)
     cfg.faults = plan;
     PrefetcherParams pf;
     pf.name = "ebcp";
-    pf.ebcp.faults = plan;
 
     StatusOr<std::unique_ptr<SyntheticWorkload>> src =
         tryMakeWorkload("database", 42);
@@ -67,32 +68,13 @@ runWithTraceFaults(std::uint64_t fault_seed)
     return out;
 }
 
-void
-expectIdentical(const SimResults &a, const SimResults &b)
-{
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.epochsPer1k, b.epochsPer1k);
-    EXPECT_EQ(a.l2InstMissPer1k, b.l2InstMissPer1k);
-    EXPECT_EQ(a.l2LoadMissPer1k, b.l2LoadMissPer1k);
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches);
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches);
-    EXPECT_EQ(a.droppedPrefetches, b.droppedPrefetches);
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.accuracy, b.accuracy);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-}
-
 } // namespace
 
 TEST(FaultInjection, SameSeedIsBitIdentical)
 {
     FaultRun a = runWithTraceFaults(7);
     FaultRun b = runWithTraceFaults(7);
-    expectIdentical(a.results, b.results);
+    EXPECT_EQ(a.results, b.results);
     EXPECT_EQ(a.bitflips, b.bitflips);
     EXPECT_EQ(a.shortReads, b.shortReads);
     EXPECT_EQ(a.dropped, b.dropped);
@@ -147,7 +129,6 @@ TEST(FaultInjection, TableFaultsDegradeNotCrash)
     cfg.faults = plan;
     PrefetcherParams pf;
     pf.name = "ebcp";
-    pf.ebcp.faults = plan;
 
     StatusOr<std::unique_ptr<SyntheticWorkload>> src =
         tryMakeWorkload("database", 42);

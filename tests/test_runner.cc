@@ -19,6 +19,7 @@
 #include "harness/sweep.hh"
 #include "trace/workloads.hh"
 
+#include "results_print.hh"
 #include "temp_path.hh"
 
 using namespace ebcp;
@@ -87,26 +88,6 @@ mixedGrid()
     return descs;
 }
 
-void
-expectBitIdentical(const SimResults &a, const SimResults &b,
-                   const std::string &what)
-{
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.epochs, b.epochs) << what;
-    EXPECT_EQ(a.cpi, b.cpi) << what;
-    EXPECT_EQ(a.epochsPer1k, b.epochsPer1k) << what;
-    EXPECT_EQ(a.l2InstMissPer1k, b.l2InstMissPer1k) << what;
-    EXPECT_EQ(a.l2LoadMissPer1k, b.l2LoadMissPer1k) << what;
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches) << what;
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches) << what;
-    EXPECT_EQ(a.droppedPrefetches, b.droppedPrefetches) << what;
-    EXPECT_EQ(a.coverage, b.coverage) << what;
-    EXPECT_EQ(a.accuracy, b.accuracy) << what;
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil) << what;
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil) << what;
-}
-
 /** Runs @p descs cold at one worker: the reference every warm-reuse
  * sweep must match bit for bit. */
 std::vector<RunResult>
@@ -149,8 +130,7 @@ TEST(SweepDeterminism, BitIdenticalAcrossJobCounts)
     for (std::size_t i = 0; i < descs.size(); ++i) {
         ASSERT_TRUE(a[i].ok()) << a[i].status.toString();
         ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
-        expectBitIdentical(a[i].results, b[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(a[i].results, b[i].results) << runLabel(descs[i]);
     }
 }
 
@@ -170,7 +150,7 @@ TEST(SweepDeterminism, SeedFollowsDescriptorNotSubmissionOrder)
     const RunResult b = pool.run(second)[2];
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    expectBitIdentical(a.results, b.results, "probe");
+    EXPECT_EQ(a.results, b.results) << "probe";
 }
 
 TEST(SweepRunnerTest, FaultedRunDoesNotPoisonNeighbors)
@@ -197,8 +177,8 @@ TEST(SweepRunnerTest, FaultedRunDoesNotPoisonNeighbors)
     SweepRunner solo(1);
     const RunResult alone0 = solo.run({descs[0]})[0];
     const RunResult alone2 = solo.run({descs[2]})[0];
-    expectBitIdentical(rs[0].results, alone0.results, "left neighbor");
-    expectBitIdentical(rs[2].results, alone2.results, "right neighbor");
+    EXPECT_EQ(rs[0].results, alone0.results) << "left neighbor";
+    EXPECT_EQ(rs[2].results, alone2.results) << "right neighbor";
 
     const SweepStats &st = pool.stats();
     EXPECT_EQ(st.launched, 3u);
@@ -296,8 +276,7 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
         ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
         EXPECT_TRUE(b[i].warmForked) << i;
         EXPECT_FALSE(b[i].coldFallback) << i;
-        expectBitIdentical(a[i].results, b[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(a[i].results, b[i].results) << runLabel(descs[i]);
     }
 
     const SweepStats &st = warm.stats();
@@ -323,8 +302,7 @@ TEST(SweepDeterminism, WarmReuseRunsUnsharedFingerprintsCold)
         ASSERT_TRUE(got[i].ok()) << got[i].status.toString();
         EXPECT_FALSE(got[i].warmForked) << i;
         EXPECT_FALSE(got[i].coldFallback) << i;
-        expectBitIdentical(got[i].results, want[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(got[i].results, want[i].results) << runLabel(descs[i]);
     }
     EXPECT_EQ(warm.stats().warmBuilds, 0u);
     EXPECT_EQ(warm.stats().warmForks, 0u);
@@ -354,8 +332,7 @@ TEST(SweepDeterminism, WarmReuseBuildsOnlySharedFingerprints)
         ASSERT_TRUE(got[i].ok()) << got[i].status.toString();
         EXPECT_EQ(got[i].warmForked, i < paired) << i;
         EXPECT_FALSE(got[i].coldFallback) << i;
-        expectBitIdentical(got[i].results, want[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(got[i].results, want[i].results) << runLabel(descs[i]);
     }
     const SweepStats &st = warm.stats();
     EXPECT_EQ(st.warmBuilds, 4u); // one per shared fingerprint
@@ -419,7 +396,7 @@ TEST(SweepDeterminism, CostliestRunsLastBitIdenticalAcrossJobCounts)
         ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
         EXPECT_EQ(a[i].results.insts, descs[i].cores * descs[i].scale.measure)
             << i;
-        expectBitIdentical(a[i].results, b[i].results, runLabel(descs[i]));
+        EXPECT_EQ(a[i].results, b[i].results) << runLabel(descs[i]);
     }
 }
 
@@ -441,8 +418,7 @@ TEST(SweepRunnerTest, CorruptWarmCheckpointFollowsPolicy)
         ASSERT_TRUE(rs[i].ok()) << rs[i].status.toString();
         EXPECT_TRUE(rs[i].coldFallback) << i;
         EXPECT_FALSE(rs[i].warmForked) << i;
-        expectBitIdentical(rs[i].results, want[i].results,
-                           runLabel(descs[i]));
+        EXPECT_EQ(rs[i].results, want[i].results) << runLabel(descs[i]);
     }
     EXPECT_EQ(pool.stats().coldFallbacks, 2u);
     EXPECT_EQ(pool.stats().warmForks, 0u);

@@ -20,6 +20,7 @@
 #include "trace/workloads.hh"
 #include "util/crc32.hh"
 
+#include "results_print.hh"
 #include "temp_path.hh"
 
 using namespace ebcp;
@@ -111,22 +112,6 @@ writeV1Trace(const std::string &path, const std::string &workload,
         bytes.insert(bytes.end(), rec, rec + 32);
     }
     writeAll(path, bytes);
-}
-
-/** Require two results to agree on every simulated number. */
-void
-expectSameResults(const SimResults &a, const SimResults &b)
-{
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.l2InstMissPer1k, b.l2InstMissPer1k);
-    EXPECT_EQ(a.l2LoadMissPer1k, b.l2LoadMissPer1k);
-    EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches);
-    EXPECT_EQ(a.issuedPrefetches, b.issuedPrefetches);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
 }
 
 /** Count records until the source ends (bounded to catch hangs). */
@@ -246,7 +231,7 @@ TEST(TraceFileTest, ReplayDrivesSimulatorDeterministically)
     SimResults a = runOnce(cfg, p, *s1, 50000, 100000);
     auto s2 = openSource(path, true);
     SimResults b = runOnce(cfg, p, *s2, 50000, 100000);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a, b);
     EXPECT_GT(a.cpi, 0.5);
     std::remove(path.c_str());
 }
@@ -297,7 +282,7 @@ TEST(TraceFileTest, V1ReplayMatchesLiveGeneration)
 
     auto live = makeWorkload("database");
     SimResults from_gen = runOnce(cfg, p, *live, 100'000, 150'000);
-    expectSameResults(from_file, from_gen);
+    EXPECT_EQ(from_file, from_gen);
     std::remove(path.c_str());
 }
 
